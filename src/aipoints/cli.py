@@ -24,7 +24,8 @@ from .errors import (AnchorOutsideFixedSet, BodyFormatError, ConfigError,
                      InvalidRadius, SingularMap, TruncationTooSmall)
 from .estimator import (SWEEP_CSV_HEADER, EstimatorConfig, convergence_sweep,
                         estimate_record, estimate_tk)
-from .geometry import ConvexPolygon, apply_affine, load_polygon
+from .geometry import (ConvexPolygon, apply_affine, load_polygon,
+                       normalize_to_unit_area)
 from .haar import sample_sl2pm
 from .symmetry import automorphism_group, fixed_points, report_to_dict
 from .unimodular import VolumePreservingAffineMap, singular_values
@@ -137,11 +138,6 @@ def _write_csv(lines: list[str], out: Path | None) -> None:
         out.write_text(text, encoding="utf-8")
 
 
-def _unit_frame(poly: ConvexPolygon) -> tuple[ConvexPolygon, float]:
-    scale = float(poly.area ** 0.5)
-    return ConvexPolygon(poly.vertices / scale), scale
-
-
 def cmd_point(args) -> int:
     body = load_polygon(args.body)
     if args.rule in ("centroid", "john"):
@@ -159,7 +155,7 @@ def cmd_point(args) -> int:
     anchor = args.anchor if args.anchor is not None else np.array(base.centroid)
     cfg = _config_from_args(args)
     # unit-area frame for the base body: T_{k,sK,sv}(sL) = s T_{k,K,v}(L)
-    base_unit, scale = _unit_frame(base)
+    base_unit, scale = normalize_to_unit_area(base)
     est = estimate_tk(base_unit, anchor / scale,
                       ConvexPolygon(body.vertices / scale), cfg,
                       threads=args.threads)
@@ -181,7 +177,7 @@ def cmd_point(args) -> int:
 def cmd_converge(args) -> int:
     body = load_polygon(args.body)
     cfg = _config_from_args(args)
-    unit, scale = _unit_frame(body)
+    unit, scale = normalize_to_unit_area(body)
     anchor = np.asarray(args.anchor, float)
     rows = convergence_sweep(unit, anchor / scale, args.ks, cfg,
                              threads=args.threads,
@@ -283,7 +279,7 @@ def _audit_base(rule: str, body: ConvexPolygon, point_rules: dict,
     unit frame plus base estimate for tk."""
     if rule != "tk":
         return point_rules[rule][0].evaluate(body)
-    unit, scale = _unit_frame(body)
+    unit, scale = normalize_to_unit_area(body)
     anchor = np.array(unit.centroid)
     est = estimate_tk(unit, anchor, unit, cfg, threads=threads)
     return unit, scale, anchor, est

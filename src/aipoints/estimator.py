@@ -61,12 +61,14 @@ class EstimatorConfig:
     r_doubling_rounds: int = 1
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 1:
+        if (isinstance(self.k, (bool, np.bool_)) or int(self.k) != self.k
+                or self.k < 1):
             raise ConfigError(f"k must be an integer >= 1, got {self.k!r}")
         if self.samples < 1:
             raise ConfigError(f"samples must be positive, got {self.samples!r}")
-        if not self.R > 1.0:
-            raise ConfigError(f"truncation radius must exceed 1, got {self.R!r}")
+        if not 1.0 < self.R < np.inf:
+            raise ConfigError(
+                f"truncation radius must be finite and exceed 1, got {self.R!r}")
         if self.r_doubling_rounds < 0:
             raise ConfigError("r_doubling_rounds must be >= 0")
 

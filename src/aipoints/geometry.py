@@ -30,6 +30,7 @@ __all__ = [
 
 EDGE_EPS = 1e-12        # on-edge classification for clipping
 AREA_CLAMP = 1e-14      # intersection areas below this count as empty
+SEP_GAP = 1e-9          # miss-prefilter gap: 1000x EDGE_EPS, so a flagged row clips to 0
 COORD_TOL = 1e-9        # canonical-form equality, per coordinate
 _DIM = 2
 
@@ -170,6 +171,60 @@ def batch_intersection_area(subjects: np.ndarray, clip: ConvexPolygon) -> np.nda
     -------
     (n,) array of intersection areas, clamped to 0 below ``AREA_CLAMP``.
 
+    Rows that a separating axis keeps more than ``SEP_GAP`` away from the
+    clip get 0.0 without clipping; the rest go through :func:`_clip_areas`,
+    which would return exactly 0.0 for the flagged rows too.
+    """
+    subjects = np.asarray(subjects, dtype=float)
+    keep = ~_separated(subjects, clip)
+    areas = np.zeros(subjects.shape[0])
+    areas[keep] = _clip_areas(subjects[keep], clip)
+    return areas
+
+
+def _separated(subjects: np.ndarray, clip: ConvexPolygon) -> np.ndarray:
+    """Flag the rows that an edge normal of either polygon separates from
+    ``clip`` with a gap above ``SEP_GAP`` (separating-axis theorem).
+
+    The gap grows as 1 / (shortest clip edge) below unit edge length, so it
+    stays at least 1000x the distance band that ``EDGE_EPS`` gives the
+    kernel on every clip edge.  Both parts loop over edges on (m, n) arrays;
+    the subject axes are only tried on rows the clip axes left open.
+    """
+    q = clip.vertices
+    edges = np.roll(q, -1, axis=0) - q
+    lengths = np.hypot(edges[:, 0], edges[:, 1])
+    gap = SEP_GAP / min(1.0, float(lengths.min()))
+    sx = subjects[:, :, 0].T.copy()
+    sy = subjects[:, :, 1].T.copy()
+
+    # clip axes: every subject vertex strictly right of one CCW clip edge
+    sep = np.zeros(subjects.shape[0], dtype=bool)
+    for (qx, qy), (dx, dy), length in zip(q, edges, lengths):
+        reach = (dx * sy - dy * sx).max(axis=0)
+        sep |= reach < dx * qy - dy * qx - gap * length
+
+    # subject axes: every clip vertex strictly outside one subject edge,
+    # with each subject oriented by the sign of its shoelace area
+    rows = np.flatnonzero(~sep)
+    sx, sy = sx[:, rows], sy[:, rows]
+    ex = np.roll(sx, -1, axis=0) - sx
+    ey = np.roll(sy, -1, axis=0) - sy
+    offset = ex * sy - ey * sx
+    orient = -np.sign(offset.sum(axis=0))  # offset sums to -2 * shoelace area
+    ex *= orient
+    ey *= orient
+    offset *= orient
+    reach = np.full_like(offset, -np.inf)
+    for qx, qy in q:
+        np.maximum(reach, ex * qy - ey * qx, out=reach)
+    sep[rows] = (reach - offset < -gap * np.hypot(ex, ey)).any(axis=0)
+    return sep
+
+
+def _clip_areas(subjects: np.ndarray, clip: ConvexPolygon) -> np.ndarray:
+    """Sutherland–Hodgman areas of ``subjects[i] ∩ clip``, no prefilter.
+
     Half-plane clipping of a convex subject against each clip edge; each pass
     adds at most one vertex, so padded buffers of width m + E + 4 suffice.
     """
@@ -282,9 +337,12 @@ def polygon_from_dict(payload: dict) -> ConvexPolygon:
     except (TypeError, KeyError) as exc:
         raise BodyFormatError("polygon JSON must be an object with a 'vertices' key") from exc
     try:
-        arr = np.asarray(verts, dtype=float).reshape(-1, _DIM)
+        arr = np.asarray(verts, dtype=float)
     except (ValueError, TypeError) as exc:
         raise BodyFormatError("polygon 'vertices' must be an (n, 2) numeric array") from exc
+    if arr.ndim != 2 or arr.shape[1] != _DIM:
+        raise BodyFormatError(
+            f"polygon 'vertices' must be an (n, 2) array, got shape {arr.shape}")
     if arr.shape[0] < 3:
         raise BodyFormatError("polygon needs at least 3 vertices")
     if not np.isfinite(arr).all():

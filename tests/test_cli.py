@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import aipoints
+from aipoints import (EstimatorConfig, convergence_sweep, load_polygon,
+                      normalize_to_unit_area)
 from aipoints.cli import main
 
 # the [project.scripts] target of the aipoints console command
@@ -114,6 +116,14 @@ def test_point_exit_codes(bodies, tmp_path, capsys):
     code, _, _ = _run(capsys, ["point", bodies["square"], "--rule", "tk",
                                "--base-body", missing])
     assert code == 2
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"vertices": [[0, 0, 1], [1, 1, 0], [0, 1, 1],
+                                             [1, 0, 0]]}))
+    code, _, err = _run(capsys, ["point", wide, "--rule", "centroid"])
+    assert code == 2 and "(n, 2)" in err
+    code, _, err = _run(capsys, ["point", bodies["square"], "--rule", "tk",
+                                 "--radius", "inf"])
+    assert code == 4 and "truncation radius" in err
 
 
 def test_converge_square(bodies, tmp_path, capsys):
@@ -155,18 +165,32 @@ def test_converge_anchor_gate(bodies, tmp_path, capsys):
     assert manifest["config"]["unsafe_anchor"] is True
 
 
-def test_converge_q0_error_shrinks(bodies, tmp_path, capsys):
+def test_converge_rows_match_library_sweep(bodies, tmp_path, capsys):
+    # The CLI owns the row order, err_to_v and the unit-frame round trip;
+    # the k -> infinity limit itself is criterion 07's business.
     out_csv = tmp_path / "q0.csv"
+    ks = (16, 2, 8, 4)
     code, _, _ = _run(capsys, ["converge", bodies["q0"], "--anchor",
-                               "0.55,0.45", "--ks", "2,4,8,16", "--samples",
-                               "200000", "--radius", "2", "--seed", "0",
-                               "--out", out_csv, "--threads", "4"])
+                               "0.55,0.45", "--ks", ",".join(map(str, ks)),
+                               "--samples", "50000", "--radius", "2",
+                               "--seed", "0", "--out", out_csv,
+                               "--threads", "4"])
     assert code == 0
-    lines = out_csv.read_text().splitlines()
-    rows = [line.split(",") for line in lines[2:]]
-    errs = {int(r[0]): float(r[5]) for r in rows}
-    assert set(errs) == {2, 4, 8, 16}
-    assert errs[16] < errs[2]
+    rows = [line.split(",") for line in out_csv.read_text().splitlines()[2:]]
+    assert [int(r[0]) for r in rows] == list(ks)
+    anchor = np.array([0.55, 0.45])
+    for r in rows:
+        vx, vy, _, _, err = map(float, r[1:])
+        assert err == pytest.approx(np.hypot(vx - anchor[0], vy - anchor[1]),
+                                    abs=1e-12)
+    unit, scale = normalize_to_unit_area(load_polygon(bodies["q0"]))
+    sweep = convergence_sweep(unit, anchor / scale, ks,
+                              EstimatorConfig(samples=50_000, R=2.0, seed=0),
+                              threads=4)
+    for r, row in zip(rows, sweep):
+        expect = [*(scale * row.estimate.value), *(scale * row.estimate.std_error),
+                  scale * row.err_to_v]
+        assert r[1:] == [repr(float(x)) for x in expect]
 
 
 def test_symmetry_cmd(bodies, capsys):

@@ -48,8 +48,10 @@ def test_config_validation():
         EstimatorConfig(k=1.5)
     with pytest.raises(ConfigError):
         EstimatorConfig(samples=0)
-    with pytest.raises(ConfigError):
-        EstimatorConfig(R=1.0)
+    for bad in ({"k": True}, {"k": np.True_}, {"R": 1.0}, {"R": float("inf")},
+                {"R": float("nan")}):
+        with pytest.raises(ConfigError):
+            EstimatorConfig(**bad)
     with pytest.raises(ConfigError):
         EstimatorConfig(r_doubling_rounds=-1)
     cfg = EstimatorConfig()

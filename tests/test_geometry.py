@@ -1,8 +1,12 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import aipoints.weightfn
 import oracles
 from aipoints import (
     BodyFormatError,
@@ -19,6 +23,8 @@ from aipoints import (
     polygon_from_dict,
     polygon_to_dict,
 )
+from aipoints.estimator import EstimatorConfig, estimate_tk_unit
+from aipoints.geometry import _clip_areas, _separated
 
 EXACT = 1e-12
 
@@ -216,6 +222,92 @@ def test_disk_support_and_slab_bounds():
         assert intersection_area(disk, inside) <= 4 * lam2 + 1e-3
 
 
+# ---------------------------------------------------------------- miss prefilter
+
+Q0_UNIT = normalize_to_unit_area(canonicalize([[0, 0], [1, 0], [1.3, 0.8], [0.2, 1.1]]))[0]
+_ANG64 = 2 * np.pi * np.arange(64) / 64
+GON64 = normalize_to_unit_area(
+    canonicalize(np.stack([np.cos(_ANG64), np.sin(_ANG64)], 1)))[0]
+
+
+def _outward_normals(verts):
+    """Unit outward edge normals of a polygon given in either orientation."""
+    nxt = np.roll(verts, -1, axis=0)
+    e = nxt - verts
+    sign = np.sign(np.sum(verts[:, 0] * nxt[:, 1] - nxt[:, 0] * verts[:, 1]))
+    return sign * np.stack([e[:, 1], -e[:, 0]], 1) / np.hypot(e[:, 0], e[:, 1])[:, None]
+
+
+# One subject per row: a polygon with m vertices on a circle, mapped by
+# R(th1) diag(lam1, 1/lam1) R(th2), reflected (clockwise) or not, then moved
+# so that it touches the clip along an edge normal of one of the two bodies.
+# ``gap`` is the offset along that normal: > 0 separated, < 0 overlapping.
+_ROW = st.fixed_dictionaries({
+    "jitter": st.lists(st.floats(0.0, 0.8), min_size=8, max_size=8),
+    "log_lam1": st.floats(0.0, float(np.log(32.0))),
+    "th1": st.floats(0.0, 2 * np.pi),
+    "th2": st.floats(0.0, 2 * np.pi),
+    "reflect": st.booleans(),
+    "clip_side": st.booleans(),
+    "edge": st.integers(0, 63),
+    "u": st.floats(0.0, 1.0),
+    "gap": st.one_of(st.just(0.0),
+                     st.builds(lambda sgn, e: sgn * 10.0 ** e,
+                               st.sampled_from((-1.0, 1.0)), st.floats(-16.0, -4.0))),
+})
+
+
+def _contact_subject(row, m, clip):
+    ang = 2 * np.pi * (np.arange(m) + np.array(row["jitter"][:m])) / m
+    base = np.stack([np.cos(ang), np.sin(ang)], 1)
+    c1, s1, c2, s2 = (np.cos(row["th1"]), np.sin(row["th1"]),
+                      np.cos(row["th2"]), np.sin(row["th2"]))
+    lam1 = np.exp(row["log_lam1"])
+    mat = (np.array([[c1, -s1], [s1, c1]]) @ np.diag([lam1, 1 / lam1])
+           @ np.array([[c2, -s2], [s2, c2]]))
+    if row["reflect"]:
+        mat = mat @ np.diag([1.0, -1.0])
+    subj = base @ mat.T
+    q = clip.vertices
+    if row["clip_side"]:
+        # a subject vertex on a clip edge, pushed out along its normal
+        j = row["edge"] % len(q)
+        normal = _outward_normals(q)[j]
+        point = q[j] + row["u"] * (q[(j + 1) % len(q)] - q[j])
+        i = int(np.argmin(subj @ normal))
+        return subj + (point + row["gap"] * normal - subj[i])
+    # a clip vertex on a subject edge, the subject pushed away from it
+    i = row["edge"] % m
+    normal = _outward_normals(subj)[i]
+    point = subj[i] + row["u"] * (subj[(i + 1) % m] - subj[i])
+    j = int(np.argmin(q @ normal))
+    return subj + (q[j] - row["gap"] * normal - point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(3, 8), clip=st.sampled_from((Q0_UNIT, GON64)),
+       rows=st.lists(_ROW, min_size=1, max_size=24))
+def test_prefilter_matches_kernel_on_contacts(m, clip, rows):
+    subjects = np.array([_contact_subject(row, m, clip) for row in rows])
+    gaps = np.array([row["gap"] for row in rows])
+    assert np.array_equal(batch_intersection_area(subjects, clip),
+                          _clip_areas(subjects, clip))
+    flagged = _separated(subjects, clip)
+    assert flagged[gaps >= 1e-6].all()
+    assert not flagged[gaps <= 0.0].any()
+
+
+def test_prefilter_leaves_estimate_bitwise_unchanged(monkeypatch):
+    cfg = EstimatorConfig(k=4, R=16.0, samples=20_000, seed=0)
+    anchor = Q0_UNIT.centroid + np.array([0.1, -0.05])
+    filtered = estimate_tk_unit(Q0_UNIT, anchor, Q0_UNIT, cfg)
+    monkeypatch.setattr(aipoints.weightfn, "batch_intersection_area", _clip_areas)
+    unfiltered = estimate_tk_unit(Q0_UNIT, anchor, Q0_UNIT, cfg)
+    for field in fields(filtered):
+        a, b = getattr(filtered, field.name), getattr(unfiltered, field.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+
+
 # ---------------------------------------------------------------- hausdorff
 
 
@@ -278,6 +370,9 @@ def test_bad_body_payloads():
     for payload in ({}, {"vertices": []}, {"vertices": [[0, 0], [1, 0]]},
                     {"vertices": [[0, 0], [1, "x"], [0, 1]]},
                     {"vertices": [[0, 0], [1, float("nan")], [0, 1]]},
-                    {"points": [[0, 0], [1, 0], [0, 1]]}):
+                    {"points": [[0, 0], [1, 0], [0, 1]]},
+                    # (n, 2) only: no reshaping of other shapes
+                    {"vertices": [[0, 0, 1], [1, 1, 0], [0, 1, 1], [1, 0, 0]]},
+                    {"vertices": [0, 0, 1, 0, 1, 1, 0, 1]}):
         with pytest.raises(BodyFormatError):
             polygon_from_dict(payload)
