@@ -8,8 +8,7 @@ F_K(L)(phi) = area(phi^{-1}(L) ∩ K), alongside classical reference rules
 
 __version__ = "0.1.0"
 
-from .classical import (AffineInvariantPointRule, centroid_rule, john_center,
-                        john_ellipse, john_rule)
+from .classical import john_center, john_ellipse
 from .errors import (AipointsError, AnchorOutsideFixedSet, BodyFormatError,
                      ConfigError, ConvergenceFailure, DegenerateBody,
                      DegenerateWeights, InvalidRadius, QuadratureFailure,
@@ -18,13 +17,11 @@ from .estimator import (SWEEP_CSV_HEADER, EstimatorConfig, PointEstimate,
                         SweepRow, convergence_sweep, estimate_record,
                         estimate_tk, estimate_tk_unit, power_ratio_limit)
 from .geometry import (ConvexPolygon, apply_affine, batch_intersection_area,
-                       canonicalize, dump_polygon, hausdorff_distance,
-                       intersection_area, load_polygon,
-                       normalize_to_unit_area, polygon_from_dict,
-                       polygon_to_dict)
-from .haar import (CartanCoordinates, HaarSample, InvarianceResult,
-                   haar_density_cartan, invariance_check, sample_sl2pm,
-                   sample_translation, smoothed_ball_indicator,
+                       canonicalize, hausdorff_distance, intersection_area,
+                       load_polygon, normalize_to_unit_area,
+                       polygon_from_dict, polygon_to_dict)
+from .haar import (InvarianceResult, haar_density_cartan, invariance_check,
+                   sample_sl2pm, sample_translation, smoothed_ball_indicator,
                    truncated_cdf, truncated_mass)
 from .symmetry import (FixedSet, SymmetryReport, automorphism_group,
                        fixed_points, report_to_dict)

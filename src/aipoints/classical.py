@@ -11,35 +11,15 @@ iteration cap of 10^4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .errors import ConvergenceFailure
 from .geometry import ConvexPolygon
 
-__all__ = ["AffineInvariantPointRule", "centroid_rule", "john_rule",
-           "john_center", "john_ellipse"]
+__all__ = ["john_center", "john_ellipse"]
 
 _MAX_ITER = 10_000
 _MU_LADDER = tuple(10.0 ** (-e) for e in range(10))  # 1 ... 1e-9
-
-
-@dataclass(frozen=True)
-class AffineInvariantPointRule:
-    """A named map from convex bodies to points, equivariant under affine
-    transformations."""
-    name: str
-    evaluate: Callable[[ConvexPolygon], np.ndarray]
-
-
-def centroid_rule() -> AffineInvariantPointRule:
-    return AffineInvariantPointRule("centroid", lambda poly: np.array(poly.centroid))
-
-
-def john_rule() -> AffineInvariantPointRule:
-    return AffineInvariantPointRule("john", john_center)
 
 
 def _halfplanes(poly: ConvexPolygon) -> tuple[np.ndarray, np.ndarray]:

@@ -17,18 +17,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .classical import centroid_rule, john_rule
+from . import __version__, classical
 from .errors import (AnchorOutsideFixedSet, BodyFormatError, ConfigError,
                      ConvergenceFailure, DegenerateBody, DegenerateWeights,
                      InvalidRadius, SingularMap, TruncationTooSmall)
 from .estimator import (SWEEP_CSV_HEADER, EstimatorConfig, convergence_sweep,
                         estimate_record, estimate_tk)
-from .geometry import (ConvexPolygon, apply_affine, load_polygon,
-                       normalize_to_unit_area)
+from .geometry import apply_affine, load_polygon
 from .haar import sample_sl2pm
-from .symmetry import automorphism_group, fixed_points, report_to_dict
-from .unimodular import VolumePreservingAffineMap, singular_values
+from .symmetry import automorphism_group, report_to_dict
+from .unimodular import (UnimodularMap, VolumePreservingAffineMap,
+                         singular_values)
 
 EXIT_PARSE = 2
 EXIT_DEGENERATE_WEIGHTS = 3
@@ -37,6 +36,11 @@ EXIT_PRECONDITION = 4
 _PRECONDITION_ERRORS = (DegenerateBody, SingularMap, AnchorOutsideFixedSet,
                         ConfigError, InvalidRadius, TruncationTooSmall,
                         ConvergenceFailure, ValueError)
+
+# exact point rules and the residual each may leave under an affine map;
+# john_center is looked up per call, so a wrapper put on it later is seen
+_POINT_RULES = {"centroid": (lambda poly: np.array(poly.centroid), 1e-10),
+                "john": (lambda poly: classical.john_center(poly), 1e-5)}
 
 
 def _anchor_type(text: str) -> np.ndarray:
@@ -140,9 +144,8 @@ def _write_csv(lines: list[str], out: Path | None) -> None:
 
 def cmd_point(args) -> int:
     body = load_polygon(args.body)
-    if args.rule in ("centroid", "john"):
-        rule = centroid_rule() if args.rule == "centroid" else john_rule()
-        value = rule.evaluate(body)
+    if args.rule in _POINT_RULES:
+        value = _POINT_RULES[args.rule][0](body)
         manifest = _manifest("point", {"body": args.body},
                              {"rule": args.rule})
         _emit_json({"rule": args.rule,
@@ -154,16 +157,8 @@ def cmd_point(args) -> int:
     base = load_polygon(base_path)
     anchor = args.anchor if args.anchor is not None else np.array(base.centroid)
     cfg = _config_from_args(args)
-    # unit-area frame for the base body: T_{k,sK,sv}(sL) = s T_{k,K,v}(L)
-    base_unit, scale = normalize_to_unit_area(base)
-    est = estimate_tk(base_unit, anchor / scale,
-                      ConvexPolygon(body.vertices / scale), cfg,
-                      threads=args.threads)
+    est = estimate_tk(base, anchor, body, cfg, threads=args.threads)
     record = estimate_record(est, cfg)
-    record["value"] = [float(scale * est.value[0]), float(scale * est.value[1])]
-    record["std_error"] = [float(scale * est.std_error[0]),
-                           float(scale * est.std_error[1])]
-    record["r_stability"] = float(scale * est.r_stability)
     manifest = _manifest("point", {"body": args.body, "base_body": base_path},
                          {"rule": "tk", "k": cfg.k, "samples": cfg.samples,
                           "R": cfg.R, "seed": cfg.seed, "threads": args.threads,
@@ -177,9 +172,8 @@ def cmd_point(args) -> int:
 def cmd_converge(args) -> int:
     body = load_polygon(args.body)
     cfg = _config_from_args(args)
-    unit, scale = normalize_to_unit_area(body)
     anchor = np.asarray(args.anchor, float)
-    rows = convergence_sweep(unit, anchor / scale, args.ks, cfg,
+    rows = convergence_sweep(body, anchor, args.ks, cfg,
                              threads=args.threads,
                              check_anchor=not args.unsafe_anchor)
     manifest = _manifest("converge", {"body": args.body},
@@ -190,11 +184,9 @@ def cmd_converge(args) -> int:
     lines = ["# manifest: " + json.dumps(manifest, sort_keys=True),
              ",".join(SWEEP_CSV_HEADER)]
     for row in rows:
-        value = scale * row.estimate.value
-        se = scale * row.estimate.std_error
-        err = scale * row.err_to_v
-        lines.append(",".join([str(row.k)] + [repr(float(x))
-                                              for x in (*value, *se, err)]))
+        est = row.estimate
+        lines.append(",".join([str(row.k)] + [
+            repr(float(x)) for x in (*est.value, *est.std_error, row.err_to_v)]))
     _write_csv(lines, args.out)
     return 0
 
@@ -212,7 +204,7 @@ def _audit_maps(count: int, seed: int) -> list[VolumePreservingAffineMap]:
     rng = np.random.default_rng(seed)
     maps = []
     for _ in range(count):
-        linear = sample_sl2pm(2.0, rng).phi.linear
+        linear = UnimodularMap(sample_sl2pm(2.0, rng, 1)[0])
         shift = rng.uniform(-1.0, 1.0, size=2)
         maps.append(VolumePreservingAffineMap(linear, shift))
     return maps
@@ -223,6 +215,10 @@ def cmd_audit(args) -> int:
     for rule in rules:
         if rule not in ("centroid", "john", "tk"):
             raise ValueError(f"unknown rule {rule!r}")
+    if not rules:
+        raise ValueError("--rules names no rule")
+    if args.maps < 1:
+        raise ConfigError(f"--maps must be >= 1, got {args.maps}")
     paths = sorted(args.bodies.glob("*.json"))
     if not paths:
         raise ValueError(f"no polygon JSON files under {args.bodies}")
@@ -236,12 +232,10 @@ def cmd_audit(args) -> int:
              "body,rule,map_index,residual,gate,status"]
     residuals: dict[str, list[float]] = {rule: [] for rule in rules}
 
-    point_rules = {"centroid": (centroid_rule(), 1e-10),
-                   "john": (john_rule(), 1e-5)}
     for path in paths:
         body = load_polygon(path)
         for rule in rules:
-            base = _audit_base(rule, body, point_rules, cfg, args.threads)
+            base = _audit_base(rule, body, cfg, args.threads)
             for index, tau in enumerate(maps):
                 try:
                     moved = apply_affine(tau, body)
@@ -249,9 +243,9 @@ def cmd_audit(args) -> int:
                         residual, gate = _tk_residual(base, moved, tau, cfg,
                                                       args.threads)
                     else:
-                        fn, gate = point_rules[rule]
+                        fn, gate = _POINT_RULES[rule]
                         residual = float(np.linalg.norm(
-                            fn.evaluate(moved) - tau.apply(base)))
+                            fn(moved) - tau.apply(base)))
                 except Exception as exc:  # keep auditing the rest
                     lines.append(f"{path.name},{rule},{index},,,"
                                  f"error:{type(exc).__name__}")
@@ -265,42 +259,37 @@ def cmd_audit(args) -> int:
         vals = np.array(residuals[rule])
         if vals.size:
             lines.append(f"# summary rule={rule} n={vals.size} "
-                         f"p50={np.quantile(vals, 0.5)!r} "
-                         f"p90={np.quantile(vals, 0.9)!r} max={vals.max()!r}")
+                         f"p50={float(np.quantile(vals, 0.5))!r} "
+                         f"p90={float(np.quantile(vals, 0.9))!r} "
+                         f"max={float(vals.max())!r}")
         else:
             lines.append(f"# summary rule={rule} n=0")
     _write_csv(lines, args.out)
     return 0
 
 
-def _audit_base(rule: str, body: ConvexPolygon, point_rules: dict,
-                cfg: EstimatorConfig, threads: int):
+def _audit_base(rule: str, body, cfg: EstimatorConfig, threads: int):
     """Per-body data reused across maps: a point for the exact rules, the
-    unit frame plus base estimate for tk."""
+    body, anchor and base estimate for tk."""
     if rule != "tk":
-        return point_rules[rule][0].evaluate(body)
-    unit, scale = normalize_to_unit_area(body)
-    anchor = np.array(unit.centroid)
-    est = estimate_tk(unit, anchor, unit, cfg, threads=threads)
-    return unit, scale, anchor, est
+        return _POINT_RULES[rule][0](body)
+    anchor = np.array(body.centroid)
+    return body, anchor, estimate_tk(body, anchor, body, cfg, threads=threads)
 
 
-def _tk_residual(base, moved: ConvexPolygon, tau: VolumePreservingAffineMap,
+def _tk_residual(base, moved, tau: VolumePreservingAffineMap,
                  cfg: EstimatorConfig, threads: int) -> tuple[float, float]:
-    unit, scale, anchor, base_est = base
-    moved_est = estimate_tk(unit, anchor,
-                            ConvexPolygon(moved.vertices / scale), cfg,
-                            threads=threads)
+    body, anchor, base_est = base
+    moved_est = estimate_tk(body, anchor, moved, cfg, threads=threads)
     lin = tau.linear.matrix
-    base_val = scale * base_est.value
-    moved_val = scale * moved_est.value
-    residual = float(np.linalg.norm(moved_val - tau.apply(base_val)))
-    se_moved = scale * moved_est.std_error
-    se_base = scale * base_est.std_error
+    residual = float(np.linalg.norm(moved_est.value
+                                    - tau.apply(base_est.value)))
+    se_base = base_est.std_error
     var_mapped = (lin * lin) @ (se_base * se_base)
-    gate = (3.0 * float(np.sqrt(np.sum(se_moved ** 2) + np.sum(var_mapped)))
-            + scale * moved_est.r_stability
-            + singular_values(lin).lam1 * scale * base_est.r_stability)
+    gate = (3.0 * float(np.sqrt(np.sum(moved_est.std_error ** 2)
+                                + np.sum(var_mapped)))
+            + moved_est.r_stability
+            + singular_values(lin).lam1 * base_est.r_stability)
     return residual, gate
 
 
@@ -311,6 +300,8 @@ def main(argv=None) -> int:
                "symmetry": cmd_symmetry, "audit": cmd_audit}[args.command]
     started = time.perf_counter()
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         code = handler(args)
     except DegenerateWeights as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -200,13 +200,17 @@ def estimate_tk_unit(K: ConvexPolygon, v, L: ConvexPolygon,
 
 def estimate_tk(K: ConvexPolygon, v, L: ConvexPolygon, cfg: EstimatorConfig,
                 threads: int = 1) -> PointEstimate:
-    """Estimate for a general-area L via T(L) = |L|^{1/n} T(L / |L|^{1/n}).
+    """Estimate T_{k,K,v}(L) for K, v and L of any area.
 
-    With a shared seed the rescaling is exact: the normalized body, and hence
-    every sample, matches the unit-area run to floating-point round-off.
+    Uses T_{k,sK,sv}(sL) = s T_{k,K,v}(L): K and v are scaled by K's unit-area
+    scale, L by its own, and the unit-area estimate is scaled back by L's.
+    With a shared seed the rescaling is exact: every sample matches the
+    unit-area run to floating-point round-off.
     """
+    unit_k, scale_k = normalize_to_unit_area(K)
     unit_l, scale = normalize_to_unit_area(L)
-    est = estimate_tk_unit(K, v, unit_l, cfg, threads=threads)
+    anchor = np.asarray(v, dtype=float).reshape(2) / scale_k
+    est = estimate_tk_unit(unit_k, anchor, unit_l, cfg, threads=threads)
     return PointEstimate(value=scale * est.value,
                          std_error=scale * est.std_error,
                          ess=est.ess,
@@ -215,11 +219,14 @@ def estimate_tk(K: ConvexPolygon, v, L: ConvexPolygon, cfg: EstimatorConfig,
 
 def convergence_sweep(K: ConvexPolygon, v, ks, cfg: EstimatorConfig,
                       threads: int = 1, check_anchor: bool = True) -> list[SweepRow]:
-    """Estimates of T_{k,K,v}(K) for each k, with errors to the anchor.
+    """Estimates of T_{k,K,v}(K) for each k, with errors to the anchor, for
+    K of any area.
 
     The anchor must lie in the fixed set of K's affine automorphism group for
     the k -> infinity limit to be v; ``check_anchor=False`` skips that gate.
     """
+    if len(ks) == 0:
+        raise ConfigError("the sweep needs at least one k")
     anchor = np.asarray(v, dtype=float).reshape(2)
     if check_anchor:
         report = automorphism_group(K)
@@ -229,7 +236,7 @@ def convergence_sweep(K: ConvexPolygon, v, ks, cfg: EstimatorConfig,
                 f"group of the body ({report.kind})")
     rows = []
     for k in ks:
-        est = estimate_tk_unit(K, anchor, K, replace(cfg, k=int(k)), threads)
+        est = estimate_tk(K, anchor, K, replace(cfg, k=int(k)), threads)
         rows.append(SweepRow(k=int(k), estimate=est,
                              err_to_v=float(np.linalg.norm(est.value - anchor))))
     return rows

@@ -25,7 +25,6 @@ __all__ = [
     "polygon_from_dict",
     "polygon_to_dict",
     "load_polygon",
-    "dump_polygon",
 ]
 
 EDGE_EPS = 1e-12        # on-edge classification for clipping
@@ -128,17 +127,12 @@ def canonicalize(points) -> ConvexPolygon:
 
 
 def _affine_parts(phi) -> tuple[np.ndarray, np.ndarray]:
-    """Accept a VolumePreservingAffineMap, an (A, b) pair, or a bare matrix."""
+    """Accept a VolumePreservingAffineMap or an (A, b) pair."""
     if hasattr(phi, "linear") and hasattr(phi, "translation"):
         return np.asarray(phi.linear.matrix, float), np.asarray(phi.translation, float)
-    if hasattr(phi, "matrix"):
-        return np.asarray(phi.matrix, float), np.zeros(_DIM)
     if isinstance(phi, tuple) and len(phi) == 2:
         return np.asarray(phi[0], float), np.asarray(phi[1], float)
-    mat = np.asarray(phi, float)
-    if mat.shape == (_DIM, _DIM):
-        return mat, np.zeros(_DIM)
-    raise TypeError("expected an affine map, an (A, b) pair, or a 2x2 matrix")
+    raise TypeError("expected an affine map or an (A, b) pair")
 
 
 def apply_affine(phi, poly: ConvexPolygon) -> ConvexPolygon:
@@ -357,9 +351,3 @@ def polygon_to_dict(poly: ConvexPolygon) -> dict:
 def load_polygon(path) -> ConvexPolygon:
     with open(path, "r", encoding="utf-8") as fh:
         return polygon_from_dict(json.load(fh))
-
-
-def dump_polygon(poly: ConvexPolygon, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(polygon_to_dict(poly), fh, indent=2)
-        fh.write("\n")

@@ -15,12 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidRadius, TruncationTooSmall
-from .unimodular import (UnimodularMap, VolumePreservingAffineMap,
-                         batch_operator_norm, singular_values)
+from .unimodular import UnimodularMap, batch_operator_norm, singular_values
 
 __all__ = [
-    "CartanCoordinates",
-    "HaarSample",
     "InvarianceResult",
     "haar_density_cartan",
     "truncated_mass",
@@ -88,39 +85,14 @@ def _decode_cartan(theta1, t, theta2, reflect):
     return m, minv * sign
 
 
-@dataclass(frozen=True)
-class CartanCoordinates:
-    theta1: float
-    t: float
-    theta2: float
-    reflect: bool
+def sample_sl2pm(radius: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n Haar draws from S_R in SL(2)+-, as an (n, 2, 2) stack of matrices.
 
-    def decode(self) -> UnimodularMap:
-        m, _ = _decode_cartan(np.asarray(self.theta1), np.asarray(self.t),
-                              np.asarray(self.theta2), np.asarray(self.reflect))
-        return UnimodularMap(m)
-
-
-@dataclass(frozen=True)
-class HaarSample:
-    """A group sample together with its base importance weight."""
-    phi: VolumePreservingAffineMap
-    base_weight: float
-    coords: CartanCoordinates
-
-
-def sample_sl2pm(radius: float, rng: np.random.Generator) -> HaarSample:
-    """One Haar draw from S_R in SL(2)+- (translation part zero).
-
-    The proposal equals the truncated target, so the base weight is the
-    constant truncated mass of S_R.
+    The proposal equals the truncated target, so every draw carries the
+    same base weight, truncated_mass(radius).
     """
-    theta1, t, theta2, reflect = _sample_cartan(radius, rng, 1)
-    m, _ = _decode_cartan(theta1, t, theta2, reflect)
-    coords = CartanCoordinates(float(theta1[0]), float(t[0]), float(theta2[0]),
-                               bool(reflect[0]))
-    phi = VolumePreservingAffineMap(UnimodularMap(m[0]), np.zeros(2))
-    return HaarSample(phi=phi, base_weight=truncated_mass(radius), coords=coords)
+    mats, _ = _decode_cartan(*_sample_cartan(radius, rng, n))
+    return mats
 
 
 def _sample_disk(rng: np.random.Generator, n: int) -> np.ndarray:

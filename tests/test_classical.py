@@ -8,10 +8,8 @@ from aipoints import (
     ConvergenceFailure,
     apply_affine,
     canonicalize,
-    centroid_rule,
     john_center,
     john_ellipse,
-    john_rule,
 )
 
 import oracles
@@ -46,22 +44,19 @@ def _random_affine(rng, stretch=0.7):
 
 
 def test_centroid_rule_basics(unit_square, triangle):
-    rule = centroid_rule()
-    assert rule.name == "centroid"
-    assert np.allclose(rule.evaluate(unit_square), [0.5, 0.5], atol=1e-12)
-    assert np.allclose(rule.evaluate(triangle),
-                       triangle.vertices.mean(axis=0), atol=1e-12)
+    assert np.allclose(unit_square.centroid, [0.5, 0.5], atol=1e-12)
+    assert np.allclose(triangle.centroid, triangle.vertices.mean(axis=0),
+                       atol=1e-12)
 
 
 def test_centroid_rule_equivariance(rng):
-    rule = centroid_rule()
     for _ in range(25):
         poly = _random_poly(rng)
         mat, shift = _random_affine(rng)
         mat = mat * rng.uniform(0.5, 2.0)  # general invertible, not just det 1
         moved = apply_affine((mat, shift), poly)
-        want = mat @ rule.evaluate(poly) + shift
-        assert np.allclose(rule.evaluate(moved), want, atol=1e-10)
+        want = mat @ np.array(poly.centroid) + shift
+        assert np.allclose(moved.centroid, want, atol=1e-10)
 
 
 def test_john_square(unit_square):
@@ -150,13 +145,9 @@ def test_john_centrally_symmetric(rng):
 
 
 def test_rules_land_inside(rng):
-    john = john_rule()
-    cen = centroid_rule()
-    assert john.name == "john"
     for _ in range(10):
         poly = _random_poly(rng)
-        for rule in (john, cen):
-            p = rule.evaluate(poly)
+        for p in (john_center(poly), np.array(poly.centroid)):
             assert oracles.contains(poly.vertices, p[None])[0]
 
 

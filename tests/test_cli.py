@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import aipoints
-from aipoints import (EstimatorConfig, convergence_sweep, load_polygon,
-                      normalize_to_unit_area)
+from aipoints import (EstimatorConfig, convergence_sweep, estimate_record,
+                      estimate_tk, load_polygon)
 from aipoints.cli import main
 
 # the [project.scripts] target of the aipoints console command
@@ -94,6 +94,21 @@ def test_point_tk_scaling(bodies, capsys):
     assert np.array_equal(big, 2.0 * small)
 
 
+def test_point_tk_base_body_matches_library(bodies, capsys):
+    # the CLI hands the raw bodies to the library and prints its record as is
+    code, out, _ = _run(capsys, ["point", bodies["triangle"], "--rule", "tk",
+                                 "--base-body", bodies["q0"], "--samples",
+                                 "20000", "--radius", "4"])
+    assert code == 0
+    rec = json.loads(out)
+    q0 = load_polygon(bodies["q0"])
+    cfg = EstimatorConfig(samples=20_000, R=4.0)
+    est = estimate_tk(q0, np.array(q0.centroid),
+                      load_polygon(bodies["triangle"]), cfg)
+    expect = estimate_record(est, cfg)
+    assert {key: rec[key] for key in expect} == expect
+
+
 def test_point_exit_codes(bodies, tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert _run(capsys, ["point", missing, "--rule", "centroid"])[0] == 2
@@ -124,6 +139,14 @@ def test_point_exit_codes(bodies, tmp_path, capsys):
     code, _, err = _run(capsys, ["point", bodies["square"], "--rule", "tk",
                                  "--radius", "inf"])
     assert code == 4 and "truncation radius" in err
+    code, out, err = _run(capsys, ["point", bodies["square"], "--rule", "tk",
+                                   "--threads", "-3"])
+    assert (code, out) == (4, "") and "--threads" in err
+    out_csv = tmp_path / "empty.csv"
+    code, _, err = _run(capsys, ["converge", bodies["square"], "--anchor",
+                                 "0.5,0.5", "--ks", ",", "--out", out_csv])
+    assert code == 4 and "error:" in err
+    assert not out_csv.exists()
 
 
 def test_converge_square(bodies, tmp_path, capsys):
@@ -166,8 +189,8 @@ def test_converge_anchor_gate(bodies, tmp_path, capsys):
 
 
 def test_converge_rows_match_library_sweep(bodies, tmp_path, capsys):
-    # The CLI owns the row order, err_to_v and the unit-frame round trip;
-    # the k -> infinity limit itself is criterion 07's business.
+    # The CLI owns the row order and the CSV format; the library owns the
+    # unit-area frame.  The k -> infinity limit is criterion 07's business.
     out_csv = tmp_path / "q0.csv"
     ks = (16, 2, 8, 4)
     code, _, _ = _run(capsys, ["converge", bodies["q0"], "--anchor",
@@ -183,13 +206,11 @@ def test_converge_rows_match_library_sweep(bodies, tmp_path, capsys):
         vx, vy, _, _, err = map(float, r[1:])
         assert err == pytest.approx(np.hypot(vx - anchor[0], vy - anchor[1]),
                                     abs=1e-12)
-    unit, scale = normalize_to_unit_area(load_polygon(bodies["q0"]))
-    sweep = convergence_sweep(unit, anchor / scale, ks,
+    sweep = convergence_sweep(load_polygon(bodies["q0"]), anchor, ks,
                               EstimatorConfig(samples=50_000, R=2.0, seed=0),
                               threads=4)
     for r, row in zip(rows, sweep):
-        expect = [*(scale * row.estimate.value), *(scale * row.estimate.std_error),
-                  scale * row.err_to_v]
+        expect = [*row.estimate.value, *row.estimate.std_error, row.err_to_v]
         assert r[1:] == [repr(float(x)) for x in expect]
 
 
@@ -225,7 +246,12 @@ def test_audit_exact_rules(bodies, tmp_path, capsys):
         residual = float(residual)
         assert residual <= {"centroid": 1e-10, "john": 1e-5}[rule]
     summaries = [line for line in lines if line.startswith("# summary")]
-    assert len(summaries) == 2 and all("p90=" in s for s in summaries)
+    assert len(summaries) == 2
+    for summary in summaries:
+        fields = dict(part.split("=") for part in summary.split()[2:])
+        assert fields["n"] == "10"
+        for key in ("p50", "p90", "max"):
+            float(fields[key])
 
 
 def test_audit_tk_rule(bodies, tmp_path, capsys):
@@ -252,6 +278,11 @@ def test_audit_bad_inputs(tmp_path, capsys):
     bdir.mkdir()
     (bdir / "square.json").write_text(json.dumps(SQUARE))
     assert _run(capsys, ["audit", bdir, "--rules", "bogus"])[0] == 4
+    for argv in (["--maps", "0"], ["--maps", "-2"], ["--rules", ","],
+                 ["--threads", "-3"]):
+        code, out, err = _run(capsys, ["audit", bdir, *argv])
+        assert (code, out) == (4, ""), argv
+        assert "error:" in err
 
 
 def test_env_threads_fallback(bodies, capsys, monkeypatch):

@@ -131,6 +131,16 @@ def test_scaling_homogeneity_exact(q0u):
     # side-doubled body (area x4) comes back exactly doubled
     doubled = estimate_tk(q0u, Q0_ANCHOR, ConvexPolygon(2.0 * q0u.vertices), cfg)
     assert np.allclose(doubled.value, 2.0 * base.value, rtol=1e-12, atol=1e-12)
+    # a base body of any area: T_{k,sK,sv}(sL) = s T_{k,K,v}(L)
+    for c in (0.5, 3.0):
+        body = ConvexPolygon(c * q0u.vertices)
+        scaled = estimate_tk(body, c * Q0_ANCHOR, body, cfg)
+        assert np.allclose(scaled.value, c * base.value, rtol=1e-12, atol=1e-12)
+        assert np.allclose(scaled.std_error, c * base.std_error, rtol=1e-12,
+                           atol=1e-15)
+        assert np.isclose(scaled.r_stability, c * base.r_stability,
+                          rtol=1e-12, atol=1e-15)
+        assert scaled.ess == pytest.approx(base.ess, rel=1e-12)
 
 
 def test_translation_equivariance_shared_seed(q0u):
