@@ -26,8 +26,7 @@ from .estimator import (SWEEP_CSV_HEADER, EstimatorConfig, convergence_sweep,
 from .geometry import apply_affine, load_polygon
 from .haar import sample_sl2pm
 from .symmetry import automorphism_group, report_to_dict
-from .unimodular import (UnimodularMap, VolumePreservingAffineMap,
-                         singular_values)
+from .unimodular import VolumePreservingAffineMap, singular_values
 
 EXIT_PARSE = 2
 EXIT_DEGENERATE_WEIGHTS = 3
@@ -204,7 +203,7 @@ def _audit_maps(count: int, seed: int) -> list[VolumePreservingAffineMap]:
     rng = np.random.default_rng(seed)
     maps = []
     for _ in range(count):
-        linear = UnimodularMap(sample_sl2pm(2.0, rng, 1)[0])
+        linear = sample_sl2pm(2.0, rng)
         shift = rng.uniform(-1.0, 1.0, size=2)
         maps.append(VolumePreservingAffineMap(linear, shift))
     return maps

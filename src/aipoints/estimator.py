@@ -224,13 +224,15 @@ def convergence_sweep(K: ConvexPolygon, v, ks, cfg: EstimatorConfig,
 
     The anchor must lie in the fixed set of K's affine automorphism group for
     the k -> infinity limit to be v; ``check_anchor=False`` skips that gate.
+    The gate runs on the unit-area body, so its tolerance scales with K.
     """
     if len(ks) == 0:
         raise ConfigError("the sweep needs at least one k")
     anchor = np.asarray(v, dtype=float).reshape(2)
     if check_anchor:
-        report = automorphism_group(K)
-        if not fixed_points(report, anchor):
+        unit, scale = normalize_to_unit_area(K)
+        report = automorphism_group(unit)
+        if not fixed_points(report, anchor / scale):
             raise AnchorOutsideFixedSet(
                 f"anchor {anchor.tolist()} is not fixed by the automorphism "
                 f"group of the body ({report.kind})")

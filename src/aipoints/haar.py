@@ -85,14 +85,14 @@ def _decode_cartan(theta1, t, theta2, reflect):
     return m, minv * sign
 
 
-def sample_sl2pm(radius: float, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n Haar draws from S_R in SL(2)+-, as an (n, 2, 2) stack of matrices.
+def sample_sl2pm(radius: float, rng: np.random.Generator) -> UnimodularMap:
+    """One Haar draw from S_R in SL(2)+-.
 
     The proposal equals the truncated target, so every draw carries the
     same base weight, truncated_mass(radius).
     """
-    mats, _ = _decode_cartan(*_sample_cartan(radius, rng, n))
-    return mats
+    mats, _ = _decode_cartan(*_sample_cartan(radius, rng, 1))
+    return UnimodularMap(mats[0])
 
 
 def _sample_disk(rng: np.random.Generator, n: int) -> np.ndarray:

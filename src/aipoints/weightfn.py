@@ -61,11 +61,8 @@ def evaluate_weights_batch(ctx: WeightContext, minvs: np.ndarray,
                            xs: np.ndarray) -> np.ndarray:
     """Weights for a batch of maps phi_i = (M_i, x_i), given the inverse
     linear parts: phi^{-1}(L) = M^{-1}(L - x)."""
-    x = ctx.L.vertices[None, :, 0] - xs[:, 0, None]
-    y = ctx.L.vertices[None, :, 1] - xs[:, 1, None]
-    m = minvs[:, :, :, None]
-    subjects = np.stack([m[:, 0, 0] * x + m[:, 0, 1] * y,
-                         m[:, 1, 0] * x + m[:, 1, 1] * y], axis=-1)
+    rel = ctx.L.vertices[None, :, :] - xs[:, None, :]
+    subjects = np.einsum("nab,nvb->nva", minvs, rel)
     return np.minimum(batch_intersection_area(subjects, ctx.K), 1.0)
 
 

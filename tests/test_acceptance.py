@@ -138,13 +138,13 @@ def test_criterion_03_haar_marginal_and_invariance():
     rng = np.random.default_rng(0)
     ts = np.empty(100_000)
     for i in range(ts.size):
-        ts[i] = np.log(singular_values(sample_sl2pm(6.0, rng, 1)[0]).lam1)
+        ts[i] = np.log(singular_values(sample_sl2pm(6.0, rng)).lam1)
     pvalue = kstest(ts, lambda x: truncated_cdf(x, 6.0)).pvalue
     h = smoothed_ball_indicator(2.0)
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(10):
-        g = UnimodularMap(sample_sl2pm(4.0, rng, 1)[0])
+        g = sample_sl2pm(4.0, rng)
         res = invariance_check(g, h, 2.0, 400_000, rng)
         worst = max(worst, res.discrepancy / res.std_error)
     ok = pvalue > 0.01 and worst < 3.0
@@ -161,13 +161,13 @@ def test_criterion_04_ball_semigroup():
     worst_prod = worst_fact = 0.0
     for _ in range(1000):
         r1, r2 = rng.uniform(1.2, 6.0, 2)
-        m1 = UnimodularMap(sample_sl2pm(r1, rng, 1)[0])
-        m2 = UnimodularMap(sample_sl2pm(r2, rng, 1)[0])
+        m1 = sample_sl2pm(r1, rng)
+        m2 = sample_sl2pm(r2, rng)
         excess = singular_values(m1 @ m2).lam1 - r1 * r2
         worst_prod = max(worst_prod, excess)
         inclusion_bad += excess > slack
         # converse: factor a ball element through the polar interpolation
-        a = UnimodularMap(sample_sl2pm(r1 * r2, rng, 1)[0])
+        a = sample_sl2pm(r1 * r2, rng)
         s = np.log(r1) / np.log(r1 * r2)
         a1 = fractional_polar_factor(a, s)
         a2 = a1.inverse() @ a

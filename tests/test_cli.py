@@ -186,6 +186,18 @@ def test_converge_anchor_gate(bodies, tmp_path, capsys):
     assert code == 0
     manifest = json.loads(out_csv.read_text().splitlines()[0][len("# manifest: "):])
     assert manifest["config"]["unsafe_anchor"] is True
+    # the gate's 1e-8 is in units of the body: an offset of 1e-7 of the side
+    # is rejected on a small square and 1e-10 of it accepted on a large one
+    for side, offset, expect in ((1e-3, 1e-10, 4), (1e3, 1e-7, 0)):
+        path = tmp_path / f"square_{side}.json"
+        path.write_text(json.dumps({"vertices": (side * np.array(
+            SQUARE["vertices"], float)).tolist()}))
+        anchor = f"{side / 2 + offset!r},{side / 2!r}"
+        code, _, _ = _run(capsys, ["converge", path, "--anchor", anchor,
+                                   "--ks", "2", "--samples", "20000",
+                                   "--radius", "4", "--out",
+                                   tmp_path / "scaled.csv"])
+        assert code == expect, (side, offset)
 
 
 def test_converge_rows_match_library_sweep(bodies, tmp_path, capsys):

@@ -241,7 +241,10 @@ def _outward_normals(verts):
 # One subject per row: a polygon with m vertices on a circle, mapped by
 # R(th1) diag(lam1, 1/lam1) R(th2), reflected (clockwise) or not, then moved
 # so that it touches the clip along an edge normal of one of the two bodies.
-# ``gap`` is the offset along that normal: > 0 separated, < 0 overlapping.
+# ``gap`` is the offset along that normal when > 0 (separated).  When < 0
+# the touching vertex moves by |gap| toward the centre of the other body,
+# so it lies inside it (overlapping): along the normal it could end up
+# outside at an acute corner (u = 0 or 1).
 _ROW = st.fixed_dictionaries({
     "jitter": st.lists(st.floats(0.0, 0.8), min_size=8, max_size=8),
     "log_lam1": st.floats(0.0, float(np.log(32.0))),
@@ -257,6 +260,12 @@ _ROW = st.fixed_dictionaries({
 })
 
 
+def _toward(verts, point):
+    """Unit vector from the vertex mean of a convex polygon to a point."""
+    d = point - verts.mean(axis=0)
+    return d / np.linalg.norm(d)
+
+
 def _contact_subject(row, m, clip):
     ang = 2 * np.pi * (np.arange(m) + np.array(row["jitter"][:m])) / m
     base = np.stack([np.cos(ang), np.sin(ang)], 1)
@@ -269,19 +278,24 @@ def _contact_subject(row, m, clip):
         mat = mat @ np.diag([1.0, -1.0])
     subj = base @ mat.T
     q = clip.vertices
+    gap = row["gap"]
     if row["clip_side"]:
         # a subject vertex on a clip edge, pushed out along its normal
         j = row["edge"] % len(q)
         normal = _outward_normals(q)[j]
         point = q[j] + row["u"] * (q[(j + 1) % len(q)] - q[j])
         i = int(np.argmin(subj @ normal))
-        return subj + (point + row["gap"] * normal - subj[i])
+        if gap < 0:
+            normal = _toward(q, point)
+        return subj + (point + gap * normal - subj[i])
     # a clip vertex on a subject edge, the subject pushed away from it
     i = row["edge"] % m
     normal = _outward_normals(subj)[i]
     point = subj[i] + row["u"] * (subj[(i + 1) % m] - subj[i])
     j = int(np.argmin(q @ normal))
-    return subj + (q[j] - row["gap"] * normal - point)
+    if gap < 0:
+        normal = _toward(subj, point)
+    return subj + (q[j] - gap * normal - point)
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,12 +8,12 @@ from aipoints import (
     TruncationTooSmall,
     UnimodularMap,
     batch_intersection_area,
-    batch_operator_norm,
     canonicalize,
     haar_density_cartan,
     invariance_check,
     sample_sl2pm,
     sample_translation,
+    singular_values,
     smoothed_ball_indicator,
     truncated_cdf,
     truncated_mass,
@@ -86,17 +86,18 @@ def test_decoded_samples_live_in_the_ball():
     assert np.allclose(svals[:, 0], np.exp(t), rtol=1e-12)
 
 
-def test_sample_sl2pm_batch_contract():
+def test_sample_sl2pm_single_draw_contract():
     rng = np.random.default_rng(34)
     for radius in (1.0001, 2.0, 16.0):
-        mats = sample_sl2pm(radius, rng, 500)
-        assert mats.shape == (500, 2, 2)
-        assert np.allclose(np.abs(np.linalg.det(mats)), 1.0, rtol=0, atol=1e-9)
-        assert np.all(batch_operator_norm(mats) <= radius * (1 + 1e-12))
+        m = sample_sl2pm(radius, rng)
+        assert isinstance(m, UnimodularMap)
+        assert abs(np.linalg.det(m.matrix)) == pytest.approx(1.0, abs=1e-12)
+        assert singular_values(m).lam1 <= radius * (1 + 1e-12)
     # R -> 1+ concentrates at orthogonal maps
-    assert batch_operator_norm(sample_sl2pm(1.0001, rng, 200)).max() <= 1.0001
+    lams = [singular_values(sample_sl2pm(1.0001, rng)).lam1 for _ in range(200)]
+    assert max(lams) <= 1.0001
     with pytest.raises(InvalidRadius):
-        sample_sl2pm(1.0, rng, 1)
+        sample_sl2pm(1.0, rng)
 
 
 def test_seed_reproducibility():
