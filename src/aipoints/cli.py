@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, classical
 from .errors import (AnchorOutsideFixedSet, BodyFormatError, ConfigError,
                      ConvergenceFailure, DegenerateBody, DegenerateWeights,
-                     InvalidRadius, SingularMap, TruncationTooSmall)
+                     InvalidRadius, SingularMap)
 from .estimator import (SWEEP_CSV_HEADER, EstimatorConfig, convergence_sweep,
                         estimate_record, estimate_tk)
 from .geometry import apply_affine, load_polygon
@@ -33,8 +33,8 @@ EXIT_DEGENERATE_WEIGHTS = 3
 EXIT_PRECONDITION = 4
 
 _PRECONDITION_ERRORS = (DegenerateBody, SingularMap, AnchorOutsideFixedSet,
-                        ConfigError, InvalidRadius, TruncationTooSmall,
-                        ConvergenceFailure, ValueError)
+                        ConfigError, InvalidRadius, ConvergenceFailure,
+                        ValueError)
 
 # exact point rules and the residual each may leave under an affine map;
 # john_center is looked up per call, so a wrapper put on it later is seen
@@ -57,11 +57,19 @@ def _ks_type(text: str) -> list[int]:
         raise argparse.ArgumentTypeError("ks must be a comma list of integers") from exc
 
 
-def _default_threads() -> int:
+def _resolve_threads(flag: int | None) -> int:
+    """--threads, else $AIP_THREADS, else 1; either must be an integer >= 1."""
+    if flag is not None:
+        source, value = "--threads", flag
+    else:
+        source, value = "AIP_THREADS", os.environ.get("AIP_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("AIP_THREADS", "1")))
+        threads = int(value)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"{source} must be an integer >= 1, got {value!r}")
+    return threads
 
 
 def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
@@ -71,7 +79,7 @@ def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--radius", type=float, default=16.0,
                         help="truncation radius R for the group ball (default 16)")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    parser.add_argument("--threads", type=int, default=_default_threads(),
+    parser.add_argument("--threads", type=int, default=None,
                         help="worker threads (default $AIP_THREADS or 1)")
 
 
@@ -299,8 +307,8 @@ def main(argv=None) -> int:
                "symmetry": cmd_symmetry, "audit": cmd_audit}[args.command]
     started = time.perf_counter()
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        if hasattr(args, "threads"):
+            args.threads = _resolve_threads(args.threads)
         code = handler(args)
     except DegenerateWeights as exc:
         print(f"error: {exc}", file=sys.stderr)

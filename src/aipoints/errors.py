@@ -21,20 +21,12 @@ class InvalidRadius(AipointsError):
     """Ball radius below 1; the unit ball of the operator norm is the minimum."""
 
 
-class TruncationTooSmall(AipointsError):
-    """Sampler truncation radius cannot cover the support of the test function."""
-
-
 class DegenerateWeights(AipointsError):
     """Too few Monte Carlo samples hit the weight support to form an estimate."""
 
 
 class ConfigError(AipointsError):
     """Estimator configuration outside its legal range."""
-
-
-class QuadratureFailure(AipointsError):
-    """Adaptive quadrature did not converge on the requested ratio."""
 
 
 class ConvergenceFailure(AipointsError):

@@ -21,10 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import (AnchorOutsideFixedSet, ConfigError, DegenerateWeights,
-                     QuadratureFailure)
+from .errors import AnchorOutsideFixedSet, ConfigError, DegenerateWeights
 from .geometry import ConvexPolygon, normalize_to_unit_area
 from .haar import _decode_cartan, _sample_cartan, _sample_disk, truncated_mass
 from .symmetry import automorphism_group, fixed_points
@@ -37,7 +35,6 @@ __all__ = [
     "estimate_tk_unit",
     "estimate_tk",
     "convergence_sweep",
-    "power_ratio_limit",
     "estimate_record",
     "SWEEP_CSV_HEADER",
 ]
@@ -86,6 +83,14 @@ class SweepRow:
     k: int
     estimate: PointEstimate
     err_to_v: float
+
+
+def _anchor(v) -> np.ndarray:
+    """The anchor as a float 2-vector; a non-finite one is a ConfigError."""
+    anchor = np.asarray(v, dtype=float).reshape(2)
+    if not np.isfinite(anchor).all():
+        raise ConfigError(f"anchor must be finite, got {anchor.tolist()}")
+    return anchor
 
 
 def _stream_partial(ctx: WeightContext, anchor: np.ndarray, k: int,
@@ -175,11 +180,13 @@ def estimate_tk_unit(K: ConvexPolygon, v, L: ConvexPolygon,
 
     Raises
     ------
+    ConfigError
+        If the anchor is not finite.
     DegenerateWeights
         If fewer than 100 samples land on the weight support.
     """
+    anchor = _anchor(v)
     ctx = weight_context(K, L)
-    anchor = np.asarray(v, dtype=float).reshape(2)
     root = np.random.SeedSequence(cfg.seed)
     run_seeds = root.spawn(cfg.r_doubling_rounds + 1)
     values = []
@@ -228,7 +235,7 @@ def convergence_sweep(K: ConvexPolygon, v, ks, cfg: EstimatorConfig,
     """
     if len(ks) == 0:
         raise ConfigError("the sweep needs at least one k")
-    anchor = np.asarray(v, dtype=float).reshape(2)
+    anchor = _anchor(v)
     if check_anchor:
         unit, scale = normalize_to_unit_area(K)
         report = automorphism_group(unit)
@@ -242,43 +249,6 @@ def convergence_sweep(K: ConvexPolygon, v, ks, cfg: EstimatorConfig,
         rows.append(SweepRow(k=int(k), estimate=est,
                              err_to_v=float(np.linalg.norm(est.value - anchor))))
     return rows
-
-
-def power_ratio_limit(f, g, domain: tuple[float, float], k: float) -> float:
-    """integral(f^k g) / integral(f^k) on a 1-D interval, by adaptive
-    quadrature split at the maximizer of f.
-
-    As k grows this localizes at the maximizer x0 of f and converges to
-    g(x0) under the usual peak-separation conditions.
-
-    Raises
-    ------
-    QuadratureFailure
-        If either integral fails to converge or the denominator vanishes.
-    """
-    a, b = float(domain[0]), float(domain[1])
-    if not b > a:
-        raise ValueError("domain must be a nondegenerate interval")
-    grid = np.linspace(a, b, 4097)
-    fvals = np.array([float(f(x)) for x in grid])
-    x0 = float(grid[int(np.argmax(fvals))])
-    points = [x0] if a < x0 < b else None
-
-    def integrate(func) -> float:
-        out = quad(func, a, b, points=points, limit=200, full_output=1)
-        if len(out) > 3:
-            raise QuadratureFailure(str(out[3]))
-        val, abserr = out[0], out[1]
-        if abserr > 1e-10 + 1e-7 * abs(val):
-            raise QuadratureFailure(
-                f"quadrature error {abserr:.3e} too large for value {val:.6e}")
-        return float(val)
-
-    den = integrate(lambda x: f(x) ** k)
-    if den <= 0.0:
-        raise QuadratureFailure("denominator integral is not positive")
-    num = integrate(lambda x: f(x) ** k * g(x))
-    return num / den
 
 
 def estimate_record(est: PointEstimate, cfg: EstimatorConfig) -> dict:

@@ -1,4 +1,4 @@
-"""Planar convex polygons: canonical form, measure, clipping, distances.
+"""Planar convex polygons: canonical form, measure, clipping.
 
 Vertices are kept in counterclockwise order with strictly convex turns and the
 lexicographically smallest vertex first, so two polygons agree as sets iff
@@ -20,10 +20,8 @@ __all__ = [
     "apply_affine",
     "intersection_area",
     "batch_intersection_area",
-    "hausdorff_distance",
     "normalize_to_unit_area",
     "polygon_from_dict",
-    "polygon_to_dict",
     "load_polygon",
 ]
 
@@ -289,32 +287,6 @@ def intersection_area(p: ConvexPolygon, q: ConvexPolygon) -> float:
     return float(batch_intersection_area(p.vertices[None, :, :], q)[0])
 
 
-def _dist_to_polygon(points: np.ndarray, poly: ConvexPolygon) -> np.ndarray:
-    """Euclidean distance from each point to the polygon as a convex set."""
-    pts = np.atleast_2d(points)
-    v = poly.vertices
-    w = np.roll(v, -1, axis=0)
-    e = w - v  # (E,2)
-    rel = pts[:, None, :] - v[None, :, :]  # (N,E,2)
-    cross = e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0]
-    inside = np.all(cross >= 0.0, axis=1)
-    t = np.einsum("nei,ei->ne", rel, e) / np.einsum("ei,ei->e", e, e)
-    t = np.clip(t, 0.0, 1.0)
-    foot = v[None, :, :] + t[:, :, None] * e[None, :, :]
-    d = np.min(np.linalg.norm(pts[:, None, :] - foot, axis=2), axis=1)
-    return np.where(inside, 0.0, d)
-
-
-def hausdorff_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:
-    """Hausdorff distance between two convex polygons.
-
-    For convex sets the supremum of the distance function over either body is
-    attained at a vertex, so vertex-to-body distances suffice.
-    """
-    return float(max(_dist_to_polygon(p.vertices, q).max(),
-                     _dist_to_polygon(q.vertices, p).max()))
-
-
 def normalize_to_unit_area(poly: ConvexPolygon) -> tuple[ConvexPolygon, float]:
     """Scale about the origin to unit area; returns (scaled polygon, scale).
 
@@ -342,10 +314,6 @@ def polygon_from_dict(payload: dict) -> ConvexPolygon:
     if not np.isfinite(arr).all():
         raise BodyFormatError("polygon vertices must be finite")
     return canonicalize(arr)
-
-
-def polygon_to_dict(poly: ConvexPolygon) -> dict:
-    return {"vertices": [[float(x), float(y)] for x, y in poly.vertices]}
 
 
 def load_polygon(path) -> ConvexPolygon:

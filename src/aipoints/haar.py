@@ -10,28 +10,15 @@ the truncated target and the base importance weight is that constant mass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InvalidRadius, TruncationTooSmall
-from .unimodular import UnimodularMap, batch_operator_norm, singular_values
+from .errors import InvalidRadius
+from .unimodular import UnimodularMap
 
 __all__ = [
-    "InvarianceResult",
-    "haar_density_cartan",
     "truncated_mass",
-    "truncated_cdf",
     "sample_sl2pm",
-    "sample_translation",
-    "smoothed_ball_indicator",
-    "invariance_check",
 ]
-
-
-def haar_density_cartan(t):
-    """Radial Haar density sinh(2t) in Cartan coordinates (t >= 0)."""
-    return np.sinh(2.0 * np.asarray(t, float))
 
 
 def truncated_mass(radius: float) -> float:
@@ -39,13 +26,6 @@ def truncated_mass(radius: float) -> float:
     if radius < 1.0:
         raise InvalidRadius(f"truncation radius must be >= 1, got {radius}")
     return float(0.5 * (np.cosh(2.0 * np.log(radius)) - 1.0))
-
-
-def truncated_cdf(t, radius: float):
-    """CDF of the radial coordinate on [0, log R]."""
-    tmax = np.log(radius)
-    tt = np.clip(np.asarray(t, float), 0.0, tmax)
-    return (np.cosh(2.0 * tt) - 1.0) / (np.cosh(2.0 * tmax) - 1.0)
 
 
 def _sample_cartan(radius: float, rng: np.random.Generator, n: int):
@@ -100,70 +80,3 @@ def _sample_disk(rng: np.random.Generator, n: int) -> np.ndarray:
     r = np.sqrt(rng.random(n))
     ang = rng.random(n) * (2.0 * np.pi)
     return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
-
-
-def sample_translation(rho: float, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """Uniform draw from the disk of radius rho; weight is its Lebesgue mass."""
-    if rho <= 0:
-        raise ValueError("translation radius must be positive")
-    return rho * _sample_disk(rng, 1)[0], float(np.pi * rho * rho)
-
-
-def smoothed_ball_indicator(radius: float, width: float = 0.1):
-    """A compactly supported test function on SL(2)+-.
-
-    1 inside S_{R(1-width)}, 0 outside S_R, linear in the operator norm in
-    between.  Accepts (..., 2, 2) stacks.
-    """
-    lo = radius * (1.0 - width)
-
-    def h(mats: np.ndarray) -> np.ndarray:
-        lam1 = batch_operator_norm(np.asarray(mats, float))
-        return np.clip((radius - lam1) / (radius - lo), 0.0, 1.0)
-
-    return h
-
-
-@dataclass(frozen=True)
-class InvarianceResult:
-    discrepancy: float
-    std_error: float
-
-
-def invariance_check(g, h, support_radius: float, samples: int,
-                     rng: np.random.Generator,
-                     truncation_radius: float | None = None) -> InvarianceResult:
-    """Estimate |E[h(g M)] - E[h(M)]| over Haar measure on S_truncation.
-
-    ``h`` must vanish outside S_{support_radius} and accept (..., 2, 2)
-    stacks.  Left invariance needs the truncation to cover g^{-1} S_{support};
-    for |det g| = 1 that means truncation >= ||g|| * support_radius.  Two
-    independent sample sets feed the two sides.
-
-    Raises
-    ------
-    TruncationTooSmall
-        If ``truncation_radius`` is given but below ||g|| * support_radius.
-    """
-    gmat = g.matrix if isinstance(g, UnimodularMap) else np.asarray(g, float)
-    gnorm = singular_values(gmat).lam1
-    needed = gnorm * support_radius
-    if truncation_radius is None:
-        truncation_radius = needed
-    if truncation_radius < needed * (1.0 - 1e-12):
-        raise TruncationTooSmall(
-            f"need truncation radius >= {needed:.6g}, got {truncation_radius:.6g}")
-    mass = truncated_mass(truncation_radius)
-
-    def side(transform) -> tuple[float, float]:
-        th1, t, th2, refl = _sample_cartan(truncation_radius, rng, samples)
-        m, _ = _decode_cartan(th1, t, th2, refl)
-        vals = np.asarray(h(transform(m)), float)
-        return mass * float(vals.mean()), mass * float(vals.std(ddof=1) / np.sqrt(samples))
-
-    plain, se_plain = side(lambda m: m)
-    shifted, se_shifted = side(lambda m: np.einsum("ij,njk->nik", gmat, m))
-    return InvarianceResult(
-        discrepancy=abs(shifted - plain),
-        std_error=float(np.hypot(se_plain, se_shifted)),
-    )

@@ -1,9 +1,8 @@
 """Volume-preserving linear and affine maps of the plane.
 
-2x2 matrices with |det| = 1, their singular values, polar decomposition and
-fractional polar powers, all in closed form (no iterative factorizations).
-The operator-norm ball S_R = {lambda_1(M) <= R} is the truncation device used
-by the Haar sampler; S_{R1} S_{R2} = S_{R1 R2}.
+2x2 matrices with |det| = 1 and their singular values in closed form (no
+iterative factorizations).  The operator-norm ball S_R = {lambda_1(M) <= R}
+is the truncation device used by the Haar sampler.
 """
 
 from __future__ import annotations
@@ -12,18 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRadius
-
 __all__ = [
     "UnimodularMap",
     "VolumePreservingAffineMap",
     "SingularPair",
-    "compose",
     "singular_values",
-    "polar_decompose",
-    "fractional_polar_factor",
-    "in_ball",
-    "batch_operator_norm",
 ]
 
 _DET_REJECT = 1e-6
@@ -77,9 +69,6 @@ class UnimodularMap:
     def apply(self, points) -> np.ndarray:
         return np.asarray(points, float) @ self.matrix.T
 
-    def norm(self) -> float:
-        return singular_values(self).lam1
-
     def __repr__(self) -> str:
         return f"UnimodularMap({self.matrix.tolist()})"
 
@@ -116,16 +105,11 @@ class VolumePreservingAffineMap:
         return VolumePreservingAffineMap(rinv, -rinv.apply(self.translation))
 
     def __matmul__(self, other: "VolumePreservingAffineMap") -> "VolumePreservingAffineMap":
-        return compose(self, other)
-
-
-def compose(phi: VolumePreservingAffineMap,
-            psi: VolumePreservingAffineMap) -> VolumePreservingAffineMap:
-    """Composition phi o psi in the semidirect product."""
-    return VolumePreservingAffineMap(
-        phi.linear @ psi.linear,
-        phi.linear.apply(psi.translation) + phi.translation,
-    )
+        """Composition self o other in the semidirect product."""
+        return VolumePreservingAffineMap(
+            self.linear @ other.linear,
+            self.linear.apply(other.translation) + self.translation,
+        )
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -143,52 +127,3 @@ def singular_values(m) -> SingularPair:
     t = float(np.sum(mat * mat))
     lam1 = 0.5 * (np.sqrt(t + 2.0) + np.sqrt(max(t - 2.0, 0.0)))
     return SingularPair(lam1=float(lam1), lam2=float(1.0 / lam1))
-
-
-def batch_operator_norm(mats: np.ndarray) -> np.ndarray:
-    """lam1 for a (..., 2, 2) stack of |det| = 1 matrices."""
-    t = np.sum(np.square(mats), axis=(-2, -1))
-    return 0.5 * (np.sqrt(t + 2.0) + np.sqrt(np.maximum(t - 2.0, 0.0)))
-
-
-def _sqrt_spd_det1(s: np.ndarray) -> np.ndarray:
-    # sqrt of a symmetric positive-definite matrix with det = 1:
-    # sqrt(S) = (S + I) / sqrt(tr(S) + 2)
-    return (s + np.eye(2)) / np.sqrt(s[0, 0] + s[1, 1] + 2.0)
-
-
-def polar_decompose(m: UnimodularMap) -> tuple[UnimodularMap, UnimodularMap]:
-    """M = U P with U orthogonal (det = det M) and P symmetric positive
-    definite (det = 1), both closed-form: P = sqrt(M^T M), U = M P^{-1}."""
-    mat = _as_matrix(m)
-    p = _sqrt_spd_det1(mat.T @ mat)
-    pinv = np.array([[p[1, 1], -p[0, 1]], [-p[1, 0], p[0, 0]]])  # det p = 1
-    u = mat @ pinv
-    return UnimodularMap(u), UnimodularMap(p)
-
-
-def fractional_polar_factor(m: UnimodularMap, s: float) -> UnimodularMap:
-    """U P^s for M = U P, via the closed-form eigendecomposition of P.
-
-    Used to witness S_{R1} S_{R2} = S_{R1 R2}: with s = log R1 / log(R1 R2),
-    M in S_{R1 R2} splits as (U P^s)(P^{1-s}) with factors in S_{R1}, S_{R2}.
-    """
-    u, p = polar_decompose(m)
-    pm = p.matrix
-    alpha, beta, gamma = pm[0, 0], pm[0, 1], pm[1, 1]
-    half = 0.5 * (alpha + gamma)
-    rad = np.sqrt(max(0.25 * (alpha - gamma) ** 2 + beta * beta, 0.0))
-    mu1, mu2 = half + rad, max(half - rad, 1e-300)
-    psi = 0.5 * np.arctan2(2.0 * beta, alpha - gamma)
-    c, snt = np.cos(psi), np.sin(psi)
-    v = np.array([[c, -snt], [snt, c]])
-    ps = v @ np.diag([mu1 ** s, mu2 ** s]) @ v.T
-    return UnimodularMap(u.matrix @ ps)
-
-
-def in_ball(m, radius: float) -> bool:
-    """Whether lam1(M) <= radius.  Radii below 1 are invalid: the identity
-    already has norm 1."""
-    if radius < 1.0:
-        raise InvalidRadius(f"operator-norm ball needs radius >= 1, got {radius}")
-    return singular_values(m).lam1 <= radius

@@ -12,12 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ConvexPolygon, batch_intersection_area
-from .unimodular import VolumePreservingAffineMap, singular_values
+from .unimodular import singular_values
 
 __all__ = [
     "WeightContext",
     "weight_context",
-    "evaluate_weight",
     "evaluate_weights_batch",
     "translation_support_radius",
     "slab_envelope",
@@ -47,14 +46,6 @@ def weight_context(K: ConvexPolygon, L: ConvexPolygon) -> WeightContext:
         R_K=float(np.linalg.norm(K.vertices, axis=1).max()),
         R_L=float(np.linalg.norm(L.vertices, axis=1).max()),
     )
-
-
-def evaluate_weight(ctx: WeightContext, phi: VolumePreservingAffineMap) -> float:
-    """F_K(L)(phi) = area(phi^{-1}(L) ∩ K), in [0, 1]."""
-    inv = phi.inverse()
-    subject = inv.apply(ctx.L.vertices)
-    area = float(batch_intersection_area(subject[None], ctx.K)[0])
-    return min(area, 1.0)
 
 
 def evaluate_weights_batch(ctx: WeightContext, minvs: np.ndarray,

@@ -1,11 +1,32 @@
-"""Slow, independent reference implementations used to validate the package.
+"""Reference computations that only the tests compare against.
 
-Everything here is deliberately written with a different algorithm than the
-library (gift wrapping instead of monotone chain, rejection sampling instead
-of clipping, pattern search instead of Newton) so agreement is meaningful.
+Two kinds live here.  The independent oracles are deliberately written with
+a different algorithm than the library (gift wrapping instead of monotone
+chain, rejection sampling instead of clipping, pattern search instead of
+Newton, dense boundary sampling instead of vertex distances) so agreement is
+meaningful.  The reference helpers check properties of the library's objects
+that no command computes: adaptive-quadrature limits of peaked ratios
+(``power_ratio_limit``), left invariance of the Haar sampler
+(``invariance_check`` with ``smoothed_ball_indicator``), the radial CDF
+(``truncated_cdf``), polar factors and their fractional powers, and the
+Hausdorff distance between convex polygons.
 """
+from dataclasses import dataclass
+
 import numpy as np
+from scipy.integrate import quad
 from scipy.spatial import cKDTree
+
+from aipoints import AipointsError, ConvexPolygon, UnimodularMap, singular_values
+from aipoints.haar import _decode_cartan, _sample_cartan, truncated_mass
+
+
+class QuadratureFailure(AipointsError):
+    """Adaptive quadrature did not converge on the requested ratio."""
+
+
+class TruncationTooSmall(AipointsError):
+    """Sampler truncation radius cannot cover the support of the test function."""
 
 
 def gift_wrap_hull(points):
@@ -195,3 +216,175 @@ def sqp_max_ellipse(vertices):
                    options={"maxiter": 400, "ftol": 1e-14})
     p = out.x
     return p[:2], np.array([[p[2], p[3]], [p[3], p[4]]])
+
+
+def power_ratio_limit(f, g, domain: tuple[float, float], k: float) -> float:
+    """integral(f^k g) / integral(f^k) on a 1-D interval, by adaptive
+    quadrature split at the maximizer of f.
+
+    As k grows this localizes at the maximizer x0 of f and converges to
+    g(x0) under the usual peak-separation conditions.
+
+    Raises
+    ------
+    QuadratureFailure
+        If either integral fails to converge or the denominator vanishes.
+    """
+    a, b = float(domain[0]), float(domain[1])
+    if not b > a:
+        raise ValueError("domain must be a nondegenerate interval")
+    grid = np.linspace(a, b, 4097)
+    fvals = np.array([float(f(x)) for x in grid])
+    x0 = float(grid[int(np.argmax(fvals))])
+    points = [x0] if a < x0 < b else None
+
+    def integrate(func) -> float:
+        out = quad(func, a, b, points=points, limit=200, full_output=1)
+        if len(out) > 3:
+            raise QuadratureFailure(str(out[3]))
+        val, abserr = out[0], out[1]
+        if abserr > 1e-10 + 1e-7 * abs(val):
+            raise QuadratureFailure(
+                f"quadrature error {abserr:.3e} too large for value {val:.6e}")
+        return float(val)
+
+    den = integrate(lambda x: f(x) ** k)
+    if den <= 0.0:
+        raise QuadratureFailure("denominator integral is not positive")
+    num = integrate(lambda x: f(x) ** k * g(x))
+    return num / den
+
+
+def truncated_cdf(t, radius: float):
+    """CDF of the Haar radial coordinate t on [0, log R]."""
+    tmax = np.log(radius)
+    tt = np.clip(np.asarray(t, float), 0.0, tmax)
+    return (np.cosh(2.0 * tt) - 1.0) / (np.cosh(2.0 * tmax) - 1.0)
+
+
+def batch_operator_norm(mats: np.ndarray) -> np.ndarray:
+    """lam1 for a (..., 2, 2) stack of |det| = 1 matrices."""
+    t = np.sum(np.square(mats), axis=(-2, -1))
+    return 0.5 * (np.sqrt(t + 2.0) + np.sqrt(np.maximum(t - 2.0, 0.0)))
+
+
+def smoothed_ball_indicator(radius: float, width: float = 0.1):
+    """A compactly supported test function on SL(2)+-.
+
+    1 inside S_{R(1-width)}, 0 outside S_R, linear in the operator norm in
+    between.  Accepts (..., 2, 2) stacks.
+    """
+    lo = radius * (1.0 - width)
+
+    def h(mats: np.ndarray) -> np.ndarray:
+        lam1 = batch_operator_norm(np.asarray(mats, float))
+        return np.clip((radius - lam1) / (radius - lo), 0.0, 1.0)
+
+    return h
+
+
+@dataclass(frozen=True)
+class InvarianceResult:
+    discrepancy: float
+    std_error: float
+
+
+def invariance_check(g, h, support_radius: float, samples: int,
+                     rng: np.random.Generator,
+                     truncation_radius: float | None = None) -> InvarianceResult:
+    """Estimate |E[h(g M)] - E[h(M)]| over Haar measure on S_truncation.
+
+    ``h`` must vanish outside S_{support_radius} and accept (..., 2, 2)
+    stacks.  Left invariance needs the truncation to cover g^{-1} S_{support};
+    for |det g| = 1 that means truncation >= ||g|| * support_radius.  Two
+    independent sample sets feed the two sides, drawn with the library's
+    Cartan sampler.
+
+    Raises
+    ------
+    TruncationTooSmall
+        If ``truncation_radius`` is given but below ||g|| * support_radius.
+    """
+    gmat = g.matrix if isinstance(g, UnimodularMap) else np.asarray(g, float)
+    gnorm = singular_values(gmat).lam1
+    needed = gnorm * support_radius
+    if truncation_radius is None:
+        truncation_radius = needed
+    if truncation_radius < needed * (1.0 - 1e-12):
+        raise TruncationTooSmall(
+            f"need truncation radius >= {needed:.6g}, got {truncation_radius:.6g}")
+    mass = truncated_mass(truncation_radius)
+
+    def side(transform) -> tuple[float, float]:
+        th1, t, th2, refl = _sample_cartan(truncation_radius, rng, samples)
+        m, _ = _decode_cartan(th1, t, th2, refl)
+        vals = np.asarray(h(transform(m)), float)
+        return mass * float(vals.mean()), mass * float(vals.std(ddof=1) / np.sqrt(samples))
+
+    plain, se_plain = side(lambda m: m)
+    shifted, se_shifted = side(lambda m: np.einsum("ij,njk->nik", gmat, m))
+    return InvarianceResult(
+        discrepancy=abs(shifted - plain),
+        std_error=float(np.hypot(se_plain, se_shifted)),
+    )
+
+
+def _sqrt_spd_det1(s: np.ndarray) -> np.ndarray:
+    # sqrt of a symmetric positive-definite matrix with det = 1:
+    # sqrt(S) = (S + I) / sqrt(tr(S) + 2)
+    return (s + np.eye(2)) / np.sqrt(s[0, 0] + s[1, 1] + 2.0)
+
+
+def polar_decompose(m: UnimodularMap) -> tuple[UnimodularMap, UnimodularMap]:
+    """M = U P with U orthogonal (det = det M) and P symmetric positive
+    definite (det = 1), both closed-form: P = sqrt(M^T M), U = M P^{-1}."""
+    mat = m.matrix if isinstance(m, UnimodularMap) else np.asarray(m, float)
+    p = _sqrt_spd_det1(mat.T @ mat)
+    pinv = np.array([[p[1, 1], -p[0, 1]], [-p[1, 0], p[0, 0]]])  # det p = 1
+    u = mat @ pinv
+    return UnimodularMap(u), UnimodularMap(p)
+
+
+def fractional_polar_factor(m: UnimodularMap, s: float) -> UnimodularMap:
+    """U P^s for M = U P, via the closed-form eigendecomposition of P.
+
+    Used to witness S_{R1} S_{R2} = S_{R1 R2}: with s = log R1 / log(R1 R2),
+    M in S_{R1 R2} splits as (U P^s)(P^{1-s}) with factors in S_{R1}, S_{R2}.
+    """
+    u, p = polar_decompose(m)
+    pm = p.matrix
+    alpha, beta, gamma = pm[0, 0], pm[0, 1], pm[1, 1]
+    half = 0.5 * (alpha + gamma)
+    rad = np.sqrt(max(0.25 * (alpha - gamma) ** 2 + beta * beta, 0.0))
+    mu1, mu2 = half + rad, max(half - rad, 1e-300)
+    psi = 0.5 * np.arctan2(2.0 * beta, alpha - gamma)
+    c, snt = np.cos(psi), np.sin(psi)
+    v = np.array([[c, -snt], [snt, c]])
+    ps = v @ np.diag([mu1 ** s, mu2 ** s]) @ v.T
+    return UnimodularMap(u.matrix @ ps)
+
+
+def _dist_to_polygon(points: np.ndarray, poly: ConvexPolygon) -> np.ndarray:
+    """Euclidean distance from each point to the polygon as a convex set."""
+    pts = np.atleast_2d(points)
+    v = poly.vertices
+    w = np.roll(v, -1, axis=0)
+    e = w - v  # (E,2)
+    rel = pts[:, None, :] - v[None, :, :]  # (N,E,2)
+    cross = e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0]
+    inside = np.all(cross >= 0.0, axis=1)
+    t = np.einsum("nei,ei->ne", rel, e) / np.einsum("ei,ei->e", e, e)
+    t = np.clip(t, 0.0, 1.0)
+    foot = v[None, :, :] + t[:, :, None] * e[None, :, :]
+    d = np.min(np.linalg.norm(pts[:, None, :] - foot, axis=2), axis=1)
+    return np.where(inside, 0.0, d)
+
+
+def hausdorff_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:
+    """Hausdorff distance between two convex polygons.
+
+    For convex sets the supremum of the distance function over either body is
+    attained at a vertex, so vertex-to-body distances suffice.
+    """
+    return float(max(_dist_to_polygon(p.vertices, q).max(),
+                     _dist_to_polygon(q.vertices, p).max()))

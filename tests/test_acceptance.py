@@ -18,21 +18,16 @@ from aipoints import (
     canonicalize,
     estimate_tk,
     estimate_tk_unit,
-    evaluate_weight,
+    evaluate_weights_batch,
     fixed_points,
     intersection_area,
     john_center,
     normalize_to_unit_area,
-    power_ratio_limit,
     sample_sl2pm,
     singular_values,
     slab_envelope,
     translation_support_radius,
     weight_context,
-    fractional_polar_factor,
-    invariance_check,
-    smoothed_ball_indicator,
-    truncated_cdf,
     UnimodularMap,
     VolumePreservingAffineMap,
     ConvexPolygon,
@@ -40,6 +35,8 @@ from aipoints import (
 from aipoints.cli import main as cli_main
 
 import oracles
+from oracles import (fractional_polar_factor, invariance_check,
+                     power_ratio_limit, smoothed_ball_indicator, truncated_cdf)
 
 SQUARE = canonicalize(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float))
 TRIANGLE = canonicalize(np.array([[0, 0], [1, 0], [0, 1]], float))
@@ -68,6 +65,12 @@ def _random_unimodular(rng, spread=0.9):
     if rng.random() < 0.5:
         m = m @ np.diag([1.0, -1.0])
     return m
+
+
+def _weight(ctx, phi):
+    """F for one map, through the batch path the estimator runs."""
+    minv = phi.linear.inverse().matrix
+    return float(evaluate_weights_batch(ctx, minv[None], phi.translation[None])[0])
 
 
 def _oracle_z(pa, pb, exact, rng, n):
@@ -121,7 +124,7 @@ def test_criterion_02_weight_envelopes():
         ang = rng.uniform(0, 2 * np.pi)
         r = rng.uniform(0.0, 2.5) * rho
         x = r * np.array([np.cos(ang), np.sin(ang)])
-        w = evaluate_weight(ctx, VolumePreservingAffineMap(m, x))
+        w = _weight(ctx, VolumePreservingAffineMap(m, x))
         if r > rho:
             beyond += 1
             support_violations += w != 0.0
@@ -238,7 +241,7 @@ def _rotation_slice_point(body, anchor, ks):
     def weight(t):
         t = float(t)
         if t not in cache:
-            cache[t] = evaluate_weight(ctx, phi(t))
+            cache[t] = _weight(ctx, phi(t))
         return cache[t]
 
     return [np.array([power_ratio_limit(weight,

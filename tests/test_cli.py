@@ -147,6 +147,14 @@ def test_point_exit_codes(bodies, tmp_path, capsys):
                                  "0.5,0.5", "--ks", ",", "--out", out_csv])
     assert code == 4 and "error:" in err
     assert not out_csv.exists()
+    # non-finite anchors: Q0's trivial group would pass any anchor the gate
+    code, out, err = _run(capsys, ["point", bodies["q0"], "--rule", "tk",
+                                   "--anchor", "nan,0"])
+    assert (code, out) == (4, "") and "error: anchor" in err
+    code, _, err = _run(capsys, ["converge", bodies["q0"], "--anchor", "inf,0",
+                                 "--ks", "2", "--out", out_csv])
+    assert code == 4 and "error: anchor" in err
+    assert not out_csv.exists()
 
 
 def test_converge_square(bodies, tmp_path, capsys):
@@ -307,6 +315,12 @@ def test_env_threads_fallback(bodies, capsys, monkeypatch):
     assert rec1["manifest"]["config"]["threads"] == 1
     assert rec3["manifest"]["config"]["threads"] == 3
     assert rec1["value"] == rec3["value"]  # thread count never changes values
+    # a bad $AIP_THREADS is refused like a bad --threads
+    for bad in ("0", "abc"):
+        monkeypatch.setenv("AIP_THREADS", bad)
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (4, ""), bad
+        assert "error: AIP_THREADS" in err
 
 
 def _run_cli(argv, cwd):
@@ -332,6 +346,15 @@ def test_console_entry_point(bodies, tmp_path):
                     "--rule", "centroid"], tmp_path)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout)["value"] == [0.5, 0.5]
+
+
+def test_import_leaves_scipy_out(tmp_path):
+    # scipy is a test dependency only: the CLI must not pull it in
+    probe = ("import sys, aipoints.cli\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = _run_cli([sys.executable, "-c", probe], tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_console_script_declared():

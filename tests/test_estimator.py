@@ -11,13 +11,13 @@ translation, affinity in v) and frozen seeded runs.
 import numpy as np
 import pytest
 
+import aipoints.estimator
 from aipoints import (
     AnchorOutsideFixedSet,
     ConfigError,
     ConvexPolygon,
     DegenerateWeights,
     EstimatorConfig,
-    QuadratureFailure,
     SWEEP_CSV_HEADER,
     UnimodularMap,
     VolumePreservingAffineMap,
@@ -26,11 +26,13 @@ from aipoints import (
     estimate_record,
     estimate_tk,
     estimate_tk_unit,
+    evaluate_weights_batch,
     normalize_to_unit_area,
-    power_ratio_limit,
+    weight_context,
 )
 
 import oracles
+from oracles import QuadratureFailure, power_ratio_limit
 
 Q0_ANCHOR = np.array([0.55, 0.45])
 
@@ -41,7 +43,7 @@ def q0u():
     return normalize_to_unit_area(raw)[0]
 
 
-def test_config_validation():
+def test_config_validation(q0u):
     with pytest.raises(ConfigError):
         EstimatorConfig(k=0)
     with pytest.raises(ConfigError):
@@ -56,6 +58,16 @@ def test_config_validation():
         EstimatorConfig(r_doubling_rounds=-1)
     cfg = EstimatorConfig()
     assert cfg.k == 4 and cfg.samples == 200_000 and cfg.R == 16.0
+    # a non-finite anchor is refused before any sampling or gating
+    small = EstimatorConfig(samples=1000, R=4.0)
+    for bad in ((np.nan, 0.0), (np.inf, 0.0), (0.5, -np.inf)):
+        with pytest.raises(ConfigError, match="anchor"):
+            estimate_tk_unit(q0u, bad, q0u, small)
+        with pytest.raises(ConfigError, match="anchor"):
+            estimate_tk(q0u, bad, q0u, small)
+        for check in (True, False):
+            with pytest.raises(ConfigError, match="anchor"):
+                convergence_sweep(q0u, bad, [2], small, check_anchor=check)
 
 
 def test_square_center_anchor(origin_square):
@@ -177,6 +189,54 @@ def test_volume_preserving_equivariance(q0u):
                         + lam1 ** 2 * np.sum(base.std_error ** 2))
         gate = 3.0 * sigma + moved.r_stability + lam1 * base.r_stability
         assert resid <= gate, (i, resid, gate)
+
+
+def test_covering_disk_holds_the_weight_support(q0u, monkeypatch):
+    # _run_once draws x uniformly on the disk of radius
+    # lam1(M) (max|K - c_K| + max|L - c_L|) about c_L - M c_K.  F must vanish
+    # outside that disk, for stretched and reflected M alike; the bodies sit
+    # far from the origin, where the origin-centred translation_support_radius
+    # is no guide to the disk the estimator uses
+    K = canonicalize(q0u.vertices + [40.0, -25.0])
+    tri = normalize_to_unit_area(canonicalize([[0, 0], [1, 0], [0, 1]]))[0]
+    L = canonicalize(tri.vertices + [-30.0, 55.0])
+    seen = []
+
+    def spy(ctx, minvs, xs):
+        seen.append((minvs.copy(), xs.copy()))
+        return evaluate_weights_batch(ctx, minvs, xs)
+
+    monkeypatch.setattr(aipoints.estimator, "evaluate_weights_batch", spy)
+    cfg = EstimatorConfig(k=2, samples=20_000, R=8.0, seed=4,
+                          r_doubling_rounds=0)
+    estimate_tk_unit(K, K.centroid, L, cfg)
+    monkeypatch.undo()
+    minvs = np.concatenate([m for m, _ in seen])
+    xs = np.concatenate([x for _, x in seen])
+    assert len(xs) == cfg.samples
+    mats = np.linalg.inv(minvs)
+    lam1 = np.linalg.svd(mats, compute_uv=False)[:, 0]
+    assert lam1.max() > 4.0 and (np.linalg.det(mats) < 0).any()
+    reach = (np.linalg.norm(K.vertices - K.centroid, axis=1).max()
+             + np.linalg.norm(L.vertices - L.centroid, axis=1).max())
+    centres = L.centroid - mats @ K.centroid
+    rho = lam1 * reach
+    # the draws fill exactly that disk: P(|x - c| > 0.9 rho) = 1 - 0.81
+    frac = np.linalg.norm(xs - centres, axis=1) / rho
+    assert frac.max() <= 1.0 + 1e-9
+    assert abs(np.mean(frac > 0.9) - 0.19) < 0.015
+    # and no weight lies outside it
+    rng = np.random.default_rng(8)
+    ang = rng.uniform(0.0, 2 * np.pi, len(xs))
+    out = rho * rng.uniform(1.0 + 1e-6, 3.0, len(xs))
+    probes = centres + out[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    ctx = weight_context(K, L)
+    assert np.count_nonzero(evaluate_weights_batch(ctx, minvs, probes)) == 0
+    # while inside it the weight is hit, also beyond the radius `reach` that
+    # the disk would have without the stretch factor lam1
+    inside = evaluate_weights_batch(ctx, minvs, xs)
+    assert np.count_nonzero(inside) > 100
+    assert np.count_nonzero(inside[frac * lam1 > 1.0]) > 0
 
 
 def test_thread_count_is_bitwise_invisible(q0u):

@@ -5,25 +5,20 @@ from scipy.stats import kstest
 
 from aipoints import (
     InvalidRadius,
-    TruncationTooSmall,
     UnimodularMap,
     batch_intersection_area,
     canonicalize,
-    haar_density_cartan,
-    invariance_check,
     sample_sl2pm,
-    sample_translation,
     singular_values,
-    smoothed_ball_indicator,
-    truncated_cdf,
     truncated_mass,
 )
-from aipoints.haar import _decode_cartan, _sample_cartan
+from aipoints.haar import _decode_cartan, _sample_cartan, _sample_disk
+
+from oracles import (TruncationTooSmall, invariance_check,
+                     smoothed_ball_indicator, truncated_cdf)
 
 
 def test_density_and_mass_basics():
-    assert haar_density_cartan(0.0) == 0.0
-    assert haar_density_cartan(1.0) == pytest.approx(np.sinh(2.0), rel=1e-15)
     # closed-form truncated mass (cosh(2 ln R) - 1)/2
     assert truncated_mass(2.0) == pytest.approx(9 / 16, abs=1e-15)
     assert truncated_mass(4.0) == pytest.approx(3.515625, abs=1e-12)
@@ -122,20 +117,18 @@ def test_norm_tail_fractions():
 
 
 def test_translation_sampler():
+    # the estimator draws x = c + rho * _sample_disk(...).  Uniform on the
+    # unit disk means r = sqrt(U1), angle = 2 pi U2 with U1 drawn first; the
+    # draws must be exactly that, so the rng order is pinned as well
+    n = 20_000
+    pts = _sample_disk(np.random.default_rng(36), n)
     rng = np.random.default_rng(36)
-    for rho in (0.5, 2.0):
-        xs = []
-        for _ in range(2000):
-            x, w = sample_translation(rho, rng)
-            assert w == pytest.approx(np.pi * rho * rho, rel=1e-15)
-            xs.append(x)
-        xs = np.array(xs)
-        assert np.all(np.linalg.norm(xs, axis=1) <= rho * (1 + 1e-12))
-        # weighted constant integrand recovers the disk area by construction
-        est = np.mean([1.0]) * np.pi * rho * rho
-        assert est == pytest.approx(np.pi * rho * rho, rel=1e-15)
-    with pytest.raises(ValueError):
-        sample_translation(0.0, rng)
+    r, a = np.sqrt(rng.random(n)), rng.random(n) * (2 * np.pi)
+    assert np.array_equal(pts, np.stack([r * np.cos(a), r * np.sin(a)], axis=-1))
+    r2 = np.sum(pts * pts, axis=1)
+    assert np.all(r2 <= 1.0 + 1e-12)
+    # a quarter of the draws fall inside radius 1/2
+    assert abs(np.mean(r2 <= 0.25) - 0.25) < 4 * np.sqrt(0.25 * 0.75 / n)
 
 
 def test_translation_correlation_integral_vs_quadrature():

@@ -14,10 +14,11 @@ from aipoints import (
     automorphism_group,
     canonicalize,
     fixed_points,
-    hausdorff_distance,
     report_to_dict,
 )
 from aipoints.symmetry import _second_moment, _sym_inv_sqrt
+
+from oracles import hausdorff_distance
 
 
 def _trapezoid():

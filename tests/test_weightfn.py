@@ -8,7 +8,6 @@ from aipoints import (
     UnimodularMap,
     canonicalize,
     VolumePreservingAffineMap,
-    evaluate_weight,
     evaluate_weights_batch,
     normalize_to_unit_area,
     slab_envelope,
@@ -21,6 +20,12 @@ import oracles
 
 def _affine(mat, shift=(0.0, 0.0)) -> VolumePreservingAffineMap:
     return VolumePreservingAffineMap(UnimodularMap(mat), np.asarray(shift, float))
+
+
+def _weight(ctx, phi: VolumePreservingAffineMap) -> float:
+    """F for one map, through the batch path the estimator runs."""
+    minv = phi.linear.inverse().matrix
+    return float(evaluate_weights_batch(ctx, minv[None], phi.translation[None])[0])
 
 
 def _rand_unimodular(rng, spread=0.9):
@@ -54,23 +59,23 @@ def test_context_radii(ctx_square, origin_square):
 
 def test_identity_weight_is_one(ctx_square, ctx_mixed):
     ident = VolumePreservingAffineMap.identity()
-    assert evaluate_weight(ctx_square, ident) == pytest.approx(1.0, abs=1e-12)
+    assert _weight(ctx_square, ident) == pytest.approx(1.0, abs=1e-12)
     # L != K at the identity: just the plain overlap, strictly below 1
-    w = evaluate_weight(ctx_mixed, ident)
+    w = _weight(ctx_mixed, ident)
     assert 0.0 < w < 1.0
 
 
 def test_far_translation_vanishes(ctx_mixed):
     d = 10.0 * (ctx_mixed.R_K + ctx_mixed.R_L)
     phi = _affine(np.eye(2), (d, 0.0))
-    assert evaluate_weight(ctx_mixed, phi) == 0.0
+    assert _weight(ctx_mixed, phi) == 0.0
 
 
 def test_weight_in_unit_interval(ctx_mixed, rng):
     for _ in range(200):
         m = _rand_unimodular(rng)
         x = rng.uniform(-2.5, 2.5, size=2)
-        w = evaluate_weight(ctx_mixed, VolumePreservingAffineMap(m, x))
+        w = _weight(ctx_mixed, VolumePreservingAffineMap(m, x))
         assert 0.0 <= w <= 1.0
 
 
@@ -83,7 +88,7 @@ def test_weight_matches_rejection_oracle(ctx_mixed, rng):
         m = _rand_unimodular(rng, spread=0.5)
         x = rng.uniform(-0.8, 0.8, size=2)
         phi = VolumePreservingAffineMap(m, x)
-        got = evaluate_weight(ctx_mixed, phi)
+        got = _weight(ctx_mixed, phi)
         # hull re-walk restores CCW order after reflecting maps
         pre = oracles.gift_wrap_hull(phi.inverse().apply(ctx_mixed.L.vertices))
         est = oracles.mc_intersection_area(pre, ctx_mixed.K.vertices, rng, n=n)
@@ -102,11 +107,11 @@ def test_support_radius_identity_grid_scan(ctx_square):
     for r in np.linspace(1.01 * rho, 3.0 * rho, 25):
         for ang in np.linspace(0.0, 2 * np.pi, 16, endpoint=False):
             x = r * np.array([np.cos(ang), np.sin(ang)])
-            assert evaluate_weight(ctx_square, _affine(np.eye(2), x)) == 0.0
+            assert _weight(ctx_square, _affine(np.eye(2), x)) == 0.0
     # and the bound is not absurdly loose: contact along the diagonal
     # happens at |x| = sqrt(2) exactly, so 0.9 rho overlaps there
     diag = 0.9 * rho * np.array([1.0, 1.0]) / np.sqrt(2.0)
-    assert evaluate_weight(ctx_square, _affine(np.eye(2), diag)) > 0.0
+    assert _weight(ctx_square, _affine(np.eye(2), diag)) > 0.0
 
 
 def test_support_radius_random_maps(ctx_mixed, rng):
@@ -117,7 +122,7 @@ def test_support_radius_random_maps(ctx_mixed, rng):
         for _ in range(100):
             ang = rng.uniform(0.0, 2 * np.pi)
             x = 1.01 * rho * np.array([np.cos(ang), np.sin(ang)])
-            assert evaluate_weight(ctx_mixed, VolumePreservingAffineMap(m, x)) == 0.0
+            assert _weight(ctx_mixed, VolumePreservingAffineMap(m, x)) == 0.0
 
 
 def test_support_radius_mass_probe(ctx_mixed, rng):
@@ -169,7 +174,7 @@ def test_slab_envelope_dominates_weight(ctx_mixed, rng):
         m = _rand_unimodular(rng, spread=1.2)
         env = slab_envelope(ctx_mixed, m)
         x = rng.uniform(-1.5, 1.5, size=2)
-        w = evaluate_weight(ctx_mixed, VolumePreservingAffineMap(m, x))
+        w = _weight(ctx_mixed, VolumePreservingAffineMap(m, x))
         assert w <= env + 1e-12
 
 
@@ -183,23 +188,9 @@ def test_left_translation_identity(ctx_mixed, rng):
         ctx_moved = weight_context(K, moved)
         phi = VolumePreservingAffineMap(
             _rand_unimodular(rng, spread=0.6), rng.uniform(-1.0, 1.0, size=2))
-        lhs = evaluate_weight(ctx_moved, phi)
-        rhs = evaluate_weight(ctx_mixed, tau.inverse() @ phi)
+        lhs = _weight(ctx_moved, phi)
+        rhs = _weight(ctx_mixed, tau.inverse() @ phi)
         assert lhs == pytest.approx(rhs, abs=1e-9)
-
-
-def test_batch_matches_scalar(ctx_mixed, rng):
-    n = 128
-    ms, xs = [], []
-    for _ in range(n):
-        ms.append(_rand_unimodular(rng).matrix)
-        xs.append(rng.uniform(-1.5, 1.5, size=2))
-    ms, xs = np.array(ms), np.array(xs)
-    batch = evaluate_weights_batch(ctx_mixed, np.linalg.inv(ms), xs)
-    for i in range(n):
-        scalar = evaluate_weight(
-            ctx_mixed, VolumePreservingAffineMap(UnimodularMap(ms[i]), xs[i]))
-        assert batch[i] == pytest.approx(scalar, abs=1e-9)
 
 
 def test_weight_for_rescaled_bodies(quad_raw):
@@ -208,6 +199,6 @@ def test_weight_for_rescaled_bodies(quad_raw):
     unit, scale = normalize_to_unit_area(quad_raw)
     assert scale == pytest.approx(np.sqrt(quad_raw.area), abs=1e-12)
     ctx = weight_context(unit, unit)
-    assert evaluate_weight(ctx, VolumePreservingAffineMap.identity()) == pytest.approx(1.0)
+    assert _weight(ctx, VolumePreservingAffineMap.identity()) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         weight_context(quad_raw, unit)
