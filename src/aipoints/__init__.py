@@ -21,7 +21,7 @@ from .geometry import (ConvexPolygon, apply_affine, batch_intersection_area,
 from .haar import sample_sl2pm, truncated_mass
 from .symmetry import (FixedSet, SymmetryReport, automorphism_group,
                        fixed_points, report_to_dict)
-from .unimodular import (SingularPair, UnimodularMap,
-                         VolumePreservingAffineMap, singular_values)
+from .unimodular import (SingularPair, VolumePreservingAffineMap,
+                         singular_values)
 from .weightfn import (WeightContext, evaluate_weights_batch, slab_envelope,
                        translation_support_radius, weight_context)

@@ -3,7 +3,7 @@
 stdout carries data (JSON or CSV), stderr carries diagnostics.  Every output
 embeds a deterministic run manifest (command, body paths, config echo, tool
 version); identical manifests produce byte-identical output.  Exit codes:
-0 success, 2 parse errors, 3 degenerate weights, 4 precondition violations.
+0 success, 2 unreadable input, 3 degenerate weights, 4 precondition violations.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from . import __version__, classical
 from .errors import (AnchorOutsideFixedSet, BodyFormatError, ConfigError,
                      ConvergenceFailure, DegenerateBody, DegenerateWeights,
                      InvalidRadius, SingularMap)
-from .estimator import (SWEEP_CSV_HEADER, EstimatorConfig, convergence_sweep,
+from .estimator import (DEFAULT_K, DEFAULT_RADIUS, DEFAULT_SAMPLES,
+                        SWEEP_CSV_HEADER, EstimatorConfig, convergence_sweep,
                         estimate_record, estimate_tk)
 from .geometry import apply_affine, load_polygon
 from .haar import sample_sl2pm
@@ -32,9 +33,10 @@ EXIT_PARSE = 2
 EXIT_DEGENERATE_WEIGHTS = 3
 EXIT_PRECONDITION = 4
 
+_PARSE_ERRORS = (BodyFormatError, json.JSONDecodeError, UnicodeDecodeError,
+                 OSError)
 _PRECONDITION_ERRORS = (DegenerateBody, SingularMap, AnchorOutsideFixedSet,
-                        ConfigError, InvalidRadius, ConvergenceFailure,
-                        ValueError)
+                        ConfigError, InvalidRadius, ConvergenceFailure)
 
 # exact point rules and the residual each may leave under an affine map;
 # john_center is looked up per call, so a wrapper put on it later is seen
@@ -73,11 +75,13 @@ def _resolve_threads(flag: int | None) -> int:
 
 
 def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=int, default=4, help="weight exponent (default 4)")
-    parser.add_argument("--samples", type=int, default=200_000,
-                        help="Monte Carlo samples per run (default 200000)")
-    parser.add_argument("--radius", type=float, default=16.0,
-                        help="truncation radius R for the group ball (default 16)")
+    parser.add_argument("--k", type=int, default=DEFAULT_K,
+                        help=f"weight exponent (default {DEFAULT_K})")
+    parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+                        help=f"Monte Carlo samples per run (default {DEFAULT_SAMPLES})")
+    parser.add_argument("--radius", type=float, default=DEFAULT_RADIUS,
+                        help=f"truncation radius R for the group ball "
+                             f"(default {DEFAULT_RADIUS:g})")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads (default $AIP_THREADS or 1)")
@@ -221,14 +225,14 @@ def cmd_audit(args) -> int:
     rules = [part.strip() for part in args.rules.split(",") if part.strip()]
     for rule in rules:
         if rule not in ("centroid", "john", "tk"):
-            raise ValueError(f"unknown rule {rule!r}")
+            raise ConfigError(f"unknown rule {rule!r}")
     if not rules:
-        raise ValueError("--rules names no rule")
+        raise ConfigError("--rules names no rule")
     if args.maps < 1:
         raise ConfigError(f"--maps must be >= 1, got {args.maps}")
     paths = sorted(args.bodies.glob("*.json"))
     if not paths:
-        raise ValueError(f"no polygon JSON files under {args.bodies}")
+        raise ConfigError(f"no polygon JSON files under {args.bodies}")
     cfg = _config_from_args(args)
     maps = _audit_maps(args.maps, args.seed)
     manifest = _manifest("audit", {"bodies": args.bodies},
@@ -288,7 +292,7 @@ def _tk_residual(base, moved, tau: VolumePreservingAffineMap,
                  cfg: EstimatorConfig, threads: int) -> tuple[float, float]:
     body, anchor, base_est = base
     moved_est = estimate_tk(body, anchor, moved, cfg, threads=threads)
-    lin = tau.linear.matrix
+    lin = tau.linear
     residual = float(np.linalg.norm(moved_est.value
                                     - tau.apply(base_est.value)))
     se_base = base_est.std_error
@@ -313,8 +317,7 @@ def main(argv=None) -> int:
     except DegenerateWeights as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE_WEIGHTS
-    except (BodyFormatError, json.JSONDecodeError, FileNotFoundError,
-            IsADirectoryError, NotADirectoryError) as exc:
+    except _PARSE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except _PRECONDITION_ERRORS as exc:

@@ -17,6 +17,7 @@ of the thread count.
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -58,16 +59,20 @@ class EstimatorConfig:
     r_doubling_rounds: int = 1
 
     def __post_init__(self):
-        if (isinstance(self.k, (bool, np.bool_)) or int(self.k) != self.k
-                or self.k < 1):
-            raise ConfigError(f"k must be an integer >= 1, got {self.k!r}")
-        if self.samples < 1:
-            raise ConfigError(f"samples must be positive, got {self.samples!r}")
-        if not 1.0 < self.R < np.inf:
+        _require_int("k", self.k, 1)
+        _require_int("samples", self.samples, 1)
+        if not isinstance(self.R, numbers.Real) or not 1.0 < self.R < np.inf:
             raise ConfigError(
                 f"truncation radius must be finite and exceed 1, got {self.R!r}")
-        if self.r_doubling_rounds < 0:
-            raise ConfigError("r_doubling_rounds must be >= 0")
+        _require_int("r_doubling_rounds", self.r_doubling_rounds, 0)
+        _require_int("seed", self.seed, 0)
+
+
+def _require_int(name: str, value, low: int) -> None:
+    """ConfigError unless ``value`` is a non-boolean integer >= ``low``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low):
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -127,7 +127,7 @@ def canonicalize(points) -> ConvexPolygon:
 def _affine_parts(phi) -> tuple[np.ndarray, np.ndarray]:
     """Accept a VolumePreservingAffineMap or an (A, b) pair."""
     if hasattr(phi, "linear") and hasattr(phi, "translation"):
-        return np.asarray(phi.linear.matrix, float), np.asarray(phi.translation, float)
+        return np.asarray(phi.linear, float), np.asarray(phi.translation, float)
     if isinstance(phi, tuple) and len(phi) == 2:
         return np.asarray(phi[0], float), np.asarray(phi[1], float)
     raise TypeError("expected an affine map or an (A, b) pair")

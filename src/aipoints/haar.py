@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidRadius
-from .unimodular import UnimodularMap
 
 __all__ = [
     "truncated_mass",
@@ -65,14 +64,14 @@ def _decode_cartan(theta1, t, theta2, reflect):
     return m, minv * sign
 
 
-def sample_sl2pm(radius: float, rng: np.random.Generator) -> UnimodularMap:
+def sample_sl2pm(radius: float, rng: np.random.Generator) -> np.ndarray:
     """One Haar draw from S_R in SL(2)+-.
 
     The proposal equals the truncated target, so every draw carries the
     same base weight, truncated_mass(radius).
     """
     mats, _ = _decode_cartan(*_sample_cartan(radius, rng, 1))
-    return UnimodularMap(mats[0])
+    return mats[0]
 
 
 def _sample_disk(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DegenerateBody
 from .geometry import ConvexPolygon
-from .unimodular import UnimodularMap, VolumePreservingAffineMap
+from .unimodular import VolumePreservingAffineMap
 
 __all__ = ["FixedSet", "SymmetryReport", "automorphism_group", "fixed_points",
            "report_to_dict"]
@@ -59,7 +60,7 @@ def _sym_inv_sqrt(c: np.ndarray) -> np.ndarray:
     rad = np.sqrt(max(0.25 * (c[0, 0] - c[1, 1]) ** 2 + c[0, 1] ** 2, 0.0))
     mu1, mu2 = half + rad, half - rad
     if mu2 <= 0:
-        raise ValueError("covariance not positive definite")
+        raise DegenerateBody("covariance not positive definite")
     psi = 0.5 * np.arctan2(2.0 * c[0, 1], c[0, 0] - c[1, 1])
     cs, sn = np.cos(psi), np.sin(psi)
     v = np.array([[cs, -sn], [sn, cs]])
@@ -125,7 +126,7 @@ def automorphism_group(poly: ConvexPolygon) -> SymmetryReport:
     maps = []
     for g in rotations + reflections:
         lin = winv @ g @ w
-        maps.append(VolumePreservingAffineMap(UnimodularMap(lin), c - lin @ c))
+        maps.append(VolumePreservingAffineMap(lin, c - lin @ c))
     return SymmetryReport(order=order, kind=kind, fixed_set=fixed,
                           maps=tuple(maps))
 

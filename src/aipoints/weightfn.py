@@ -64,7 +64,7 @@ def translation_support_radius(ctx: WeightContext, m) -> float:
     R_L + lambda1(M) R_K; the returned lambda1(M) (R_K + R_L) is the safe
     common envelope (lambda1 >= 1).
     """
-    lam1 = singular_values(m.matrix if hasattr(m, "matrix") else m).lam1
+    lam1 = singular_values(m).lam1
     return float(lam1 * (ctx.R_K + ctx.R_L))
 
 
@@ -75,6 +75,6 @@ def slab_envelope(ctx: WeightContext, m) -> float:
     disk with any unimodular image of a disk has area at most
     2 * lambda2 * |B^1|, which scales to c = 2 * (2 r) * r.
     """
-    lam2 = singular_values(m.matrix if hasattr(m, "matrix") else m).lam2
+    lam2 = singular_values(m).lam2
     r = max(ctx.R_K, ctx.R_L)
     return float(min(1.0, 4.0 * r * r * lam2))

@@ -9,7 +9,9 @@ that no command computes: adaptive-quadrature limits of peaked ratios
 (``power_ratio_limit``), left invariance of the Haar sampler
 (``invariance_check`` with ``smoothed_ball_indicator``), the radial CDF
 (``truncated_cdf``), polar factors and their fractional powers, and the
-Hausdorff distance between convex polygons.
+Hausdorff distance between convex polygons.  Linear group elements are plain
+2x2 arrays, as in the library; ``rotation``, ``stretch`` and ``inverse``
+build and invert them.
 """
 from dataclasses import dataclass
 
@@ -17,7 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
-from aipoints import AipointsError, ConvexPolygon, UnimodularMap, singular_values
+from aipoints import AipointsError, ConvexPolygon, singular_values
 from aipoints.haar import _decode_cartan, _sample_cartan, truncated_mass
 
 
@@ -56,13 +58,15 @@ def gift_wrap_hull(points):
 
 
 def contains(vertices, points):
-    """Membership for a CCW convex polygon, vectorized over points."""
+    """Membership for a CCW convex polygon, vectorized over points and
+    looped over edges, so no (points, edges) temporaries are built."""
     v = np.asarray(vertices, dtype=float)
     p = np.atleast_2d(points)
-    e = np.roll(v, -1, axis=0) - v
-    rel = p[:, None, :] - v[None, :, :]
-    cross = e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0]
-    return (cross >= -1e-12).all(axis=1)
+    px, py = p[:, 0], p[:, 1]
+    inside = np.ones(len(p), dtype=bool)
+    for (vx, vy), (ex, ey) in zip(v, np.roll(v, -1, axis=0) - v):
+        inside &= ex * (py - vy) - ey * (px - vx) >= -1e-12
+    return inside
 
 
 def mc_area(vertices, rng, n=200_000):
@@ -305,7 +309,7 @@ def invariance_check(g, h, support_radius: float, samples: int,
     TruncationTooSmall
         If ``truncation_radius`` is given but below ||g|| * support_radius.
     """
-    gmat = g.matrix if isinstance(g, UnimodularMap) else np.asarray(g, float)
+    gmat = np.asarray(g, float)
     gnorm = singular_values(gmat).lam1
     needed = gnorm * support_radius
     if truncation_radius is None:
@@ -335,25 +339,39 @@ def _sqrt_spd_det1(s: np.ndarray) -> np.ndarray:
     return (s + np.eye(2)) / np.sqrt(s[0, 0] + s[1, 1] + 2.0)
 
 
-def polar_decompose(m: UnimodularMap) -> tuple[UnimodularMap, UnimodularMap]:
+def rotation(theta: float) -> np.ndarray:
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+def stretch(s: float) -> np.ndarray:
+    """diag(s, 1/s)."""
+    return np.diag([s, 1.0 / s])
+
+
+def inverse(m) -> np.ndarray:
+    """Inverse of a 2x2 array: its adjugate over its determinant."""
+    a, b, c, d = np.asarray(m, float).ravel()
+    return np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+
+
+def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:
     """M = U P with U orthogonal (det = det M) and P symmetric positive
     definite (det = 1), both closed-form: P = sqrt(M^T M), U = M P^{-1}."""
-    mat = m.matrix if isinstance(m, UnimodularMap) else np.asarray(m, float)
+    mat = np.asarray(m, float)
     p = _sqrt_spd_det1(mat.T @ mat)
     pinv = np.array([[p[1, 1], -p[0, 1]], [-p[1, 0], p[0, 0]]])  # det p = 1
-    u = mat @ pinv
-    return UnimodularMap(u), UnimodularMap(p)
+    return mat @ pinv, p
 
 
-def fractional_polar_factor(m: UnimodularMap, s: float) -> UnimodularMap:
+def fractional_polar_factor(m, s: float) -> np.ndarray:
     """U P^s for M = U P, via the closed-form eigendecomposition of P.
 
     Used to witness S_{R1} S_{R2} = S_{R1 R2}: with s = log R1 / log(R1 R2),
     M in S_{R1 R2} splits as (U P^s)(P^{1-s}) with factors in S_{R1}, S_{R2}.
     """
     u, p = polar_decompose(m)
-    pm = p.matrix
-    alpha, beta, gamma = pm[0, 0], pm[0, 1], pm[1, 1]
+    alpha, beta, gamma = p[0, 0], p[0, 1], p[1, 1]
     half = 0.5 * (alpha + gamma)
     rad = np.sqrt(max(0.25 * (alpha - gamma) ** 2 + beta * beta, 0.0))
     mu1, mu2 = half + rad, max(half - rad, 1e-300)
@@ -361,7 +379,7 @@ def fractional_polar_factor(m: UnimodularMap, s: float) -> UnimodularMap:
     c, snt = np.cos(psi), np.sin(psi)
     v = np.array([[c, -snt], [snt, c]])
     ps = v @ np.diag([mu1 ** s, mu2 ** s]) @ v.T
-    return UnimodularMap(u.matrix @ ps)
+    return u @ ps
 
 
 def _dist_to_polygon(points: np.ndarray, poly: ConvexPolygon) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 import aipoints
 from aipoints import (EstimatorConfig, convergence_sweep, estimate_record,
                       estimate_tk, load_polygon)
-from aipoints.cli import main
+from aipoints.cli import _build_parser, _config_from_args, main
 
 # the [project.scripts] target of the aipoints console command
 ENTRY_POINT = "aipoints.cli:run"
@@ -115,6 +115,10 @@ def test_point_exit_codes(bodies, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert _run(capsys, ["point", bad, "--rule", "centroid"])[0] == 2
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"name": "carré", "vertices": []}'.encode("latin-1"))
+    code, out, err = _run(capsys, ["point", latin1, "--rule", "centroid"])
+    assert (code, out) == (2, "") and "error:" in err
     short = tmp_path / "short.json"
     short.write_text(json.dumps({"vertices": [[0, 0], [1, 0]]}))
     assert _run(capsys, ["point", short, "--rule", "centroid"])[0] == 2
@@ -142,6 +146,9 @@ def test_point_exit_codes(bodies, tmp_path, capsys):
     code, out, err = _run(capsys, ["point", bodies["square"], "--rule", "tk",
                                    "--threads", "-3"])
     assert (code, out) == (4, "") and "--threads" in err
+    code, out, err = _run(capsys, ["point", bodies["square"], "--rule", "tk",
+                                   "--seed", "-1"])
+    assert (code, out) == (4, "") and "seed" in err
     out_csv = tmp_path / "empty.csv"
     code, _, err = _run(capsys, ["converge", bodies["square"], "--anchor",
                                  "0.5,0.5", "--ks", ",", "--out", out_csv])
@@ -155,6 +162,14 @@ def test_point_exit_codes(bodies, tmp_path, capsys):
                                  "--ks", "2", "--out", out_csv])
     assert code == 4 and "error: anchor" in err
     assert not out_csv.exists()
+
+
+def test_parser_defaults_match_the_estimator():
+    parser = _build_parser()
+    for argv in (["point", "b.json", "--rule", "tk"],
+                 ["converge", "b.json", "--anchor", "0,0", "--out", "o.csv"],
+                 ["audit", "bodies"]):
+        assert _config_from_args(parser.parse_args(argv)) == EstimatorConfig()
 
 
 def test_converge_square(bodies, tmp_path, capsys):
@@ -246,6 +261,11 @@ def test_symmetry_cmd(bodies, capsys):
         assert payload["manifest"]["command"] == "symmetry"
     code, out, _ = _run(capsys, ["symmetry", bodies["square"]])
     assert (code, out) == (0, _run(capsys, ["symmetry", bodies["square"]])[1])
+    # a sliver whose second moment is singular in floating point
+    sliver = bodies["square"].with_name("sliver.json")
+    sliver.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [0.5, 1e-9]]}))
+    code, out, err = _run(capsys, ["symmetry", sliver])
+    assert (code, out) == (4, "") and "error:" in err
 
 
 def test_audit_exact_rules(bodies, tmp_path, capsys):

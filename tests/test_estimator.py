@@ -19,7 +19,6 @@ from aipoints import (
     DegenerateWeights,
     EstimatorConfig,
     SWEEP_CSV_HEADER,
-    UnimodularMap,
     VolumePreservingAffineMap,
     canonicalize,
     convergence_sweep,
@@ -56,6 +55,19 @@ def test_config_validation(q0u):
             EstimatorConfig(**bad)
     with pytest.raises(ConfigError):
         EstimatorConfig(r_doubling_rounds=-1)
+    # integer fields take non-boolean integers only and R a real number: a
+    # float, a bool or None used to pass here and fail later inside numpy
+    # (or run with one sample), or fail here with a ValueError or TypeError
+    for bad in ({"k": 4.0}, {"k": float("nan")}, {"k": float("inf")},
+                {"k": None}, {"samples": 2000.5}, {"samples": 2000.0},
+                {"samples": True}, {"samples": np.True_},
+                {"r_doubling_rounds": 0.5}, {"r_doubling_rounds": True},
+                {"seed": 1.5}, {"seed": -1}, {"seed": False}, {"seed": "3"},
+                {"R": None}, {"R": "16"}):
+        with pytest.raises(ConfigError):
+            EstimatorConfig(**bad)
+    EstimatorConfig(samples=np.int64(10), r_doubling_rounds=np.int32(0),
+                    seed=np.uint64(2**63))
     cfg = EstimatorConfig()
     assert cfg.k == 4 and cfg.samples == 200_000 and cfg.R == 16.0
     # a non-finite anchor is refused before any sampling or gating
@@ -177,7 +189,7 @@ def test_volume_preserving_equivariance(q0u):
         t = rng.uniform(0.0, np.log(2.0))  # operator norm <= 2
         r1 = np.array([[np.cos(th1), -np.sin(th1)], [np.sin(th1), np.cos(th1)]])
         r2 = np.array([[np.cos(th2), -np.sin(th2)], [np.sin(th2), np.cos(th2)]])
-        lin = UnimodularMap(r1 @ np.diag([np.exp(t), np.exp(-t)]) @ r2)
+        lin = r1 @ np.diag([np.exp(t), np.exp(-t)]) @ r2
         tau = VolumePreservingAffineMap(lin, rng.uniform(-1, 1, 2))
         lam1 = np.exp(t)
         moved = estimate_tk_unit(q0u, Q0_ANCHOR,

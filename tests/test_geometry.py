@@ -13,7 +13,6 @@ from aipoints import (
     ConvexPolygon,
     DegenerateBody,
     SingularMap,
-    UnimodularMap,
     apply_affine,
     batch_intersection_area,
     canonicalize,
@@ -23,7 +22,7 @@ from aipoints import (
 )
 from aipoints.estimator import EstimatorConfig, estimate_tk_unit
 from aipoints.geometry import _clip_areas, _separated
-from oracles import hausdorff_distance
+from oracles import hausdorff_distance, rotation, stretch
 
 EXACT = 1e-12
 
@@ -148,8 +147,8 @@ def test_intersection_trivial_exact(unit_square, quad_raw):
 def test_intersection_octagon_case(unit_square):
     # square against itself rotated 45 degrees about its center
     c = np.array([0.5, 0.5])
-    rot = UnimodularMap.rotation(np.pi / 4)
-    img = apply_affine((rot.matrix, c - rot.matrix @ c), unit_square)
+    rot = rotation(np.pi / 4)
+    img = apply_affine((rot, c - rot @ c), unit_square)
     assert abs(intersection_area(unit_square, img) - 2 * (np.sqrt(2) - 1)) < 1e-12
 
 
@@ -180,11 +179,10 @@ def test_intersection_affine_invariance(rng):
         p = random_body(rng)
         q = apply_affine((np.eye(2), rng.normal(size=2) * 0.4), random_body(rng))
         base = intersection_area(p, q)
-        m = UnimodularMap.rotation(rng.random() * 7) @ UnimodularMap.stretch(
-            np.exp(rng.normal() * 0.4))
+        m = rotation(rng.random() * 7) @ stretch(np.exp(rng.normal() * 0.4))
         shift = rng.normal(size=2)
-        moved = intersection_area(apply_affine((m.matrix, shift), p),
-                                  apply_affine((m.matrix, shift), q))
+        moved = intersection_area(apply_affine((m, shift), p),
+                                  apply_affine((m, shift), q))
         assert abs(moved - base) <= 1e-9 * max(base, 1.0)
 
 
@@ -210,14 +208,13 @@ def test_disk_support_and_slab_bounds():
     for _ in range(60):
         t = rng.random() * np.log(6.0)
         th1, th2 = rng.random(2) * 2 * np.pi
-        m = (UnimodularMap.rotation(th1) @ UnimodularMap.stretch(np.exp(t))
-             @ UnimodularMap.rotation(th2))
+        m = rotation(th1) @ stretch(np.exp(t)) @ rotation(th2)
         lam1, lam2 = np.exp(t), np.exp(-t)
         u = rng.normal(size=2)
         u /= np.linalg.norm(u)
-        beyond = apply_affine((m.matrix, (lam1 + 1) * 1.0001 * u), disk)
+        beyond = apply_affine((m, (lam1 + 1) * 1.0001 * u), disk)
         assert intersection_area(disk, beyond) == 0.0
-        inside = apply_affine((m.matrix, rng.normal(size=2) * 0.5), disk)
+        inside = apply_affine((m, rng.normal(size=2) * 0.5), disk)
         assert intersection_area(disk, inside) <= 4 * lam2 + 1e-3
 
 
