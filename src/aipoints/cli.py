@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, classical
-from .errors import (AnchorOutsideFixedSet, BodyFormatError, ConfigError,
-                     ConvergenceFailure, DegenerateBody, DegenerateWeights,
-                     InvalidRadius, SingularMap)
+from .errors import (AipointsError, AnchorOutsideFixedSet, BodyFormatError,
+                     ConfigError, ConvergenceFailure, DegenerateBody,
+                     DegenerateWeights, InvalidRadius, SingularMap)
 from .estimator import (DEFAULT_K, DEFAULT_RADIUS, DEFAULT_SAMPLES,
                         SWEEP_CSV_HEADER, EstimatorConfig, convergence_sweep,
                         estimate_record, estimate_tk)
@@ -145,6 +145,12 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _check_out(out: Path | None) -> None:
+    """Raise OSError before any estimate if the CSV cannot be written to ``out``."""
+    if out is not None and (out.is_dir() or not os.access(out.parent, os.W_OK)):
+        raise OSError(f"cannot write {out}: not a file in a writable directory")
+
+
 def _write_csv(lines: list[str], out: Path | None) -> None:
     text = "\n".join(lines) + "\n"
     if out is None:
@@ -181,6 +187,7 @@ def cmd_point(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    _check_out(args.out)
     body = load_polygon(args.body)
     cfg = _config_from_args(args)
     anchor = np.asarray(args.anchor, float)
@@ -222,6 +229,7 @@ def _audit_maps(count: int, seed: int) -> list[VolumePreservingAffineMap]:
 
 
 def cmd_audit(args) -> int:
+    _check_out(args.out)
     rules = [part.strip() for part in args.rules.split(",") if part.strip()]
     for rule in rules:
         if rule not in ("centroid", "john", "tk"):
@@ -257,7 +265,7 @@ def cmd_audit(args) -> int:
                         fn, gate = _POINT_RULES[rule]
                         residual = float(np.linalg.norm(
                             fn(moved) - tau.apply(base)))
-                except Exception as exc:  # keep auditing the rest
+                except AipointsError as exc:  # keep auditing the rest
                     lines.append(f"{path.name},{rule},{index},,,"
                                  f"error:{type(exc).__name__}")
                     continue

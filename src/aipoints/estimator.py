@@ -240,6 +240,7 @@ def convergence_sweep(K: ConvexPolygon, v, ks, cfg: EstimatorConfig,
     """
     if len(ks) == 0:
         raise ConfigError("the sweep needs at least one k")
+    cfgs = [replace(cfg, k=k) for k in ks]  # every k is checked before any estimate
     anchor = _anchor(v)
     if check_anchor:
         unit, scale = normalize_to_unit_area(K)
@@ -249,9 +250,9 @@ def convergence_sweep(K: ConvexPolygon, v, ks, cfg: EstimatorConfig,
                 f"anchor {anchor.tolist()} is not fixed by the automorphism "
                 f"group of the body ({report.kind})")
     rows = []
-    for k in ks:
-        est = estimate_tk(K, anchor, K, replace(cfg, k=int(k)), threads)
-        rows.append(SweepRow(k=int(k), estimate=est,
+    for row_cfg in cfgs:
+        est = estimate_tk(K, anchor, K, row_cfg, threads)
+        rows.append(SweepRow(k=int(row_cfg.k), estimate=est,
                              err_to_v=float(np.linalg.norm(est.value - anchor))))
     return rows
 

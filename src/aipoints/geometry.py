@@ -2,8 +2,11 @@
 
 Vertices are kept in counterclockwise order with strictly convex turns and the
 lexicographically smallest vertex first, so two polygons agree as sets iff
-their vertex arrays agree within tolerance.  All clipping classifications use
-an absolute epsilon of 1e-12; bodies are expected to live at unit scale.
+their vertex arrays agree within tolerance.  Clipping puts a subject edge
+whose ends lie within an absolute 1e-12 of a clip edge's line on that line:
+it counts as inside the clip (closed) unless the two run anti-parallel, and
+the clip edge counts as outside the subject (strict).  Bodies are expected
+to live at unit scale.
 """
 
 from __future__ import annotations
@@ -215,69 +218,55 @@ def _separated(subjects: np.ndarray, clip: ConvexPolygon) -> np.ndarray:
 
 
 def _clip_areas(subjects: np.ndarray, clip: ConvexPolygon) -> np.ndarray:
-    """Sutherland–Hodgman areas of ``subjects[i] ∩ clip``, no prefilter.
+    """Green's-theorem areas of ``subjects[i] ∩ clip``, no prefilter.
 
-    Half-plane clipping of a convex subject against each clip edge; each pass
-    adds at most one vertex, so padded buffers of width m + E + 4 suffice.
+    The boundary of S ∩ Q is the part of each subject edge inside Q and the
+    part of each clip edge inside S.  An edge a -> b keeps one piece
+    [t0, t1] of itself, cut where it crosses the other polygon's edge lines
+    (Cyrus–Beck), and adds (t1 - t0) * cross(a, b) / 2 to the area.  A clip
+    edge is cut at the point computed for the subject edge it crosses, so
+    the pieces join up even where the two edges are nearly parallel.
+
+    Tie rule: a subject edge with both ends within EDGE_EPS of a clip edge's
+    line lies on it and is not cut there.  It counts as inside (closed)
+    unless the two run anti-parallel, and that clip edge counts as outside
+    S (strict), so a shared edge is counted once and edges that touch from
+    outside count 0.  Clockwise subjects are reversed first.
     """
-    subjects = np.asarray(subjects, dtype=float)
-    n, m, _ = subjects.shape
+    sx, sy = np.asarray(subjects, dtype=float).transpose(2, 1, 0)
+    cw = (sx * np.roll(sy, -1, axis=0) - np.roll(sx, -1, axis=0) * sy).sum(axis=0) < 0
+    ring = np.r_[:len(sx), 0]           # edge i runs from row i to row i + 1
+    sx, sy = (np.where(cw, c[ring[::-1]], c[ring]) for c in (sx, sy))
+    ex, ey = np.diff(sx, axis=0), np.diff(sy, axis=0)
+    t0, t1 = np.zeros_like(ex), np.ones_like(ex)
+    twice = np.zeros(sx.shape[1])
     q = clip.vertices
-    edges = np.roll(q, -1, axis=0) - q
-    cap = m + q.shape[0] + 4
-
-    xs = np.zeros((n, cap))
-    ys = np.zeros((n, cap))
-    xs[:, :m] = subjects[:, :, 0]
-    ys[:, :m] = subjects[:, :, 1]
-    counts = np.full(n, m, dtype=np.int64)
-    jj = np.arange(cap)[None, :]
-
-    for (qx, qy), (dx, dy) in zip(q, edges):
-        safe = np.maximum(counts, 1)[:, None]
-        valid = jj < counts[:, None]
-        # signed: positive on the inside (left of the CCW clip edge)
-        d = dx * (ys - qy) - dy * (xs - qx)
-        inside = d >= -EDGE_EPS
-        prev_j = (jj - 1) % safe
-        px = np.take_along_axis(xs, prev_j, axis=1)
-        py = np.take_along_axis(ys, prev_j, axis=1)
-        dprev = np.take_along_axis(d, prev_j, axis=1)
-        inside_prev = dprev >= -EDGE_EPS
-
-        emit_cross = valid & (inside != inside_prev)
-        emit_cur = valid & inside
-        denom = dprev - d
-        tt = np.where(np.abs(denom) > 0.0, dprev / np.where(denom == 0.0, 1.0, denom), 0.0)
-        cx = px + tt * (xs - px)
-        cy = py + tt * (ys - py)
-
-        ecount = emit_cross.astype(np.int64) + emit_cur.astype(np.int64)
-        ends = np.cumsum(ecount, axis=1)
-        new_counts = ends[:, -1]
-        if np.any(new_counts > cap):  # cannot happen for convex subjects
-            raise RuntimeError("clip buffer overflow; subject not convex?")
-        starts = ends - ecount
-        pos_cur = starts + emit_cross
-
-        nxs = np.zeros_like(xs)
-        nys = np.zeros_like(ys)
-        r, c = np.nonzero(emit_cross)
-        nxs[r, starts[r, c]] = cx[r, c]
-        nys[r, starts[r, c]] = cy[r, c]
-        r, c = np.nonzero(emit_cur)
-        nxs[r, pos_cur[r, c]] = xs[r, c]
-        nys[r, pos_cur[r, c]] = ys[r, c]
-        xs, ys, counts = nxs, nys, new_counts
-
-    counts = np.where(counts < 3, 0, counts)
-    safe = np.maximum(counts, 1)[:, None]
-    valid = jj < counts[:, None]
-    nxt = (jj + 1) % safe
-    xn = np.take_along_axis(xs, nxt, axis=1)
-    yn = np.take_along_axis(ys, nxt, axis=1)
-    contrib = np.where(valid, xs * yn - xn * ys, 0.0)
-    areas = 0.5 * np.abs(contrib.sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for (px, py), (qx, qy) in zip(q, np.roll(q, -1, axis=0)):
+            dx, dy = qx - px, qy - py
+            rx, ry = sx - px, sy - py
+            d = dx * ry - dy * rx           # > 0 left of the clip edge
+            den = d[:-1] - d[1:]            # cross(subject edge, clip edge)
+            tc = d[:-1] / den               # fmax/fmin skip a NaN: no cut
+            dot = dx * ex + dy * ey
+            near = np.abs(d) <= EDGE_EPS
+            tied = near.any()
+            if tied:                        # subject edges on the line: no cut
+                on = near[:-1] & near[1:]
+                tc[on] = np.nan
+                t1[on & (dot < 0)] = -1.0
+            enter = den < 0                 # the subject edge enters Q here
+            np.fmax(t0, tc, out=t0, where=enter)
+            np.fmin(t1, tc, out=t1, where=~enter)
+            # ... and the clip edge leaves S at the same point
+            uc = (dx * rx[:-1] + dy * ry[:-1] + tc * dot) / (dx * dx + dy * dy)
+            u0 = np.fmax.reduce(np.where(enter, 0.0, uc), axis=0)
+            u1 = np.fmin.reduce(np.where(enter, uc, 1.0), axis=0)
+            if tied:
+                u1[on.any(axis=0)] = 0.0
+            twice += np.maximum(u1 - u0, 0.0) * (px * qy - py * qx)
+    twice += (np.maximum(t1 - t0, 0.0) * (sx[:-1] * sy[1:] - sy[:-1] * sx[1:])).sum(axis=0)
+    areas = 0.5 * twice
     areas[areas < AREA_CLAMP] = 0.0
     return areas
 

@@ -8,8 +8,10 @@ meaningful.  The reference helpers check properties of the library's objects
 that no command computes: adaptive-quadrature limits of peaked ratios
 (``power_ratio_limit``), left invariance of the Haar sampler
 (``invariance_check`` with ``smoothed_ball_indicator``), the radial CDF
-(``truncated_cdf``), polar factors and their fractional powers, and the
-Hausdorff distance between convex polygons.  Linear group elements are plain
+(``truncated_cdf``), polar factors and their fractional powers, the
+Hausdorff distance between convex polygons, and Sutherland–Hodgman clipping
+(``sutherland_hodgman_areas``, the library's kernel before Green's theorem),
+which the clip kernel is checked against.  Linear group elements are plain
 2x2 arrays, as in the library; ``rotation``, ``stretch`` and ``inverse``
 build and invert them.
 """
@@ -20,6 +22,7 @@ from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
 from aipoints import AipointsError, ConvexPolygon, singular_values
+from aipoints.geometry import AREA_CLAMP, EDGE_EPS
 from aipoints.haar import _decode_cartan, _sample_cartan, truncated_mass
 
 
@@ -406,3 +409,71 @@ def hausdorff_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:
     """
     return float(max(_dist_to_polygon(p.vertices, q).max(),
                      _dist_to_polygon(q.vertices, p).max()))
+
+
+def sutherland_hodgman_areas(subjects: np.ndarray, clip: ConvexPolygon) -> np.ndarray:
+    """Sutherland–Hodgman areas of ``subjects[i] ∩ clip``, no prefilter.
+
+    Half-plane clipping of a convex subject against each clip edge; each pass
+    adds at most one vertex, so padded buffers of width m + E + 4 suffice.
+    """
+    subjects = np.asarray(subjects, dtype=float)
+    n, m, _ = subjects.shape
+    q = clip.vertices
+    edges = np.roll(q, -1, axis=0) - q
+    cap = m + q.shape[0] + 4
+
+    xs = np.zeros((n, cap))
+    ys = np.zeros((n, cap))
+    xs[:, :m] = subjects[:, :, 0]
+    ys[:, :m] = subjects[:, :, 1]
+    counts = np.full(n, m, dtype=np.int64)
+    jj = np.arange(cap)[None, :]
+
+    for (qx, qy), (dx, dy) in zip(q, edges):
+        safe = np.maximum(counts, 1)[:, None]
+        valid = jj < counts[:, None]
+        # signed: positive on the inside (left of the CCW clip edge)
+        d = dx * (ys - qy) - dy * (xs - qx)
+        inside = d >= -EDGE_EPS
+        prev_j = (jj - 1) % safe
+        px = np.take_along_axis(xs, prev_j, axis=1)
+        py = np.take_along_axis(ys, prev_j, axis=1)
+        dprev = np.take_along_axis(d, prev_j, axis=1)
+        inside_prev = dprev >= -EDGE_EPS
+
+        emit_cross = valid & (inside != inside_prev)
+        emit_cur = valid & inside
+        denom = dprev - d
+        tt = np.where(np.abs(denom) > 0.0, dprev / np.where(denom == 0.0, 1.0, denom), 0.0)
+        cx = px + tt * (xs - px)
+        cy = py + tt * (ys - py)
+
+        ecount = emit_cross.astype(np.int64) + emit_cur.astype(np.int64)
+        ends = np.cumsum(ecount, axis=1)
+        new_counts = ends[:, -1]
+        if np.any(new_counts > cap):  # cannot happen for convex subjects
+            raise RuntimeError("clip buffer overflow; subject not convex?")
+        starts = ends - ecount
+        pos_cur = starts + emit_cross
+
+        nxs = np.zeros_like(xs)
+        nys = np.zeros_like(ys)
+        r, c = np.nonzero(emit_cross)
+        nxs[r, starts[r, c]] = cx[r, c]
+        nys[r, starts[r, c]] = cy[r, c]
+        r, c = np.nonzero(emit_cur)
+        nxs[r, pos_cur[r, c]] = xs[r, c]
+        nys[r, pos_cur[r, c]] = ys[r, c]
+        xs, ys, counts = nxs, nys, new_counts
+
+    counts = np.where(counts < 3, 0, counts)
+    safe = np.maximum(counts, 1)[:, None]
+    valid = jj < counts[:, None]
+    nxt = (jj + 1) % safe
+    xn = np.take_along_axis(xs, nxt, axis=1)
+    yn = np.take_along_axis(ys, nxt, axis=1)
+    contrib = np.where(valid, xs * yn - xn * ys, 0.0)
+    areas = 0.5 * np.abs(contrib.sum(axis=1))
+    areas[areas < AREA_CLAMP] = 0.0
+    return areas

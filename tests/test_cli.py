@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import aipoints
-from aipoints import (EstimatorConfig, convergence_sweep, estimate_record,
-                      estimate_tk, load_polygon)
+import aipoints.cli
+from aipoints import (DegenerateWeights, EstimatorConfig, convergence_sweep,
+                      estimate_record, estimate_tk, load_polygon)
 from aipoints.cli import _build_parser, _config_from_args, main
 
 # the [project.scripts] target of the aipoints console command
@@ -149,6 +149,13 @@ def test_point_exit_codes(bodies, tmp_path, capsys):
     code, out, err = _run(capsys, ["point", bodies["square"], "--rule", "tk",
                                    "--seed", "-1"])
     assert (code, out) == (4, "") and "seed" in err
+    # an unwritable --out fails before the sweep, which would exit 3 here
+    lost = tmp_path / "no_dir" / "x.csv"
+    code, out, err = _run(capsys, ["converge", bodies["square"], "--anchor",
+                                   "0.5,0.5", "--ks", "2", "--samples", "50",
+                                   "--out", lost])
+    assert (code, out) == (2, "") and "error:" in err
+    assert not lost.parent.exists()
     out_csv = tmp_path / "empty.csv"
     code, _, err = _run(capsys, ["converge", bodies["square"], "--anchor",
                                  "0.5,0.5", "--ks", ",", "--out", out_csv])
@@ -323,6 +330,38 @@ def test_audit_bad_inputs(tmp_path, capsys):
         code, out, err = _run(capsys, ["audit", bdir, *argv])
         assert (code, out) == (4, ""), argv
         assert "error:" in err
+    # an unwritable --out fails before the base estimate, which would exit 3
+    lost = tmp_path / "no_dir" / "x.csv"
+    code, out, err = _run(capsys, ["audit", bdir, "--rules", "tk", "--samples",
+                                   "50", "--out", lost])
+    assert (code, out) == (2, "") and "error:" in err
+    assert not lost.parent.exists()
+
+
+def test_audit_rows_hold_package_errors_only(bodies, tmp_path, capsys,
+                                            monkeypatch):
+    bdir = tmp_path / "bodies"
+    bdir.mkdir()
+    (bdir / "square.json").write_text(bodies["square"].read_text())
+    argv = ["audit", bdir, "--rules", "centroid", "--maps", "2"]
+
+    def failing(exc):
+        def apply_affine(*args):
+            raise exc
+        return apply_affine
+
+    monkeypatch.setattr(aipoints.cli, "apply_affine",
+                        failing(DegenerateWeights("injected")))
+    code, out, _ = _run(capsys, argv)
+    rows = [line.split(",") for line in out.splitlines()
+            if not line.startswith("#")][1:]
+    assert code == 0
+    assert [row[5] for row in rows] == ["error:DegenerateWeights"] * 2
+    # anything else is a bug: it ends in a traceback, not an error row
+    monkeypatch.setattr(aipoints.cli, "apply_affine",
+                        failing(TypeError("injected")))
+    with pytest.raises(TypeError, match="injected"):
+        main([str(a) for a in argv])
 
 
 def test_env_threads_fallback(bodies, capsys, monkeypatch):

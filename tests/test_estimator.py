@@ -42,7 +42,7 @@ def q0u():
     return normalize_to_unit_area(raw)[0]
 
 
-def test_config_validation(q0u):
+def test_config_validation(q0u, monkeypatch):
     with pytest.raises(ConfigError):
         EstimatorConfig(k=0)
     with pytest.raises(ConfigError):
@@ -80,6 +80,15 @@ def test_config_validation(q0u):
         for check in (True, False):
             with pytest.raises(ConfigError, match="anchor"):
                 convergence_sweep(q0u, bad, [2], small, check_anchor=check)
+    # a sweep checks every k before its first estimate: 2.5 and True used to
+    # run as k = 2 and k = 1, and a trailing 0 failed after the other rows ran
+    calls = []
+    monkeypatch.setattr(aipoints.estimator, "estimate_tk",
+                        lambda *args, **kwargs: calls.append(args))
+    for ks in ([2.5], [True], [16, 16, 16, 0]):
+        with pytest.raises(ConfigError, match="k must be"):
+            convergence_sweep(q0u, q0u.centroid, ks, small, check_anchor=False)
+    assert calls == []
 
 
 def test_square_center_anchor(origin_square):

@@ -142,6 +142,39 @@ def test_intersection_trivial_exact(unit_square, quad_raw):
     assert abs(intersection_area(quad_raw, quad_raw) - quad_raw.area) < EXACT
     far = apply_affine((np.eye(2), np.array([10.0, 0.0])), unit_square)
     assert intersection_area(unit_square, far) == 0.0
+    # coincident bodies, in canonical, rolled and reversed vertex order
+    v = quad_raw.vertices
+    same = batch_intersection_area(np.stack([v, np.roll(v, 1, axis=0), v[::-1]]), quad_raw)
+    assert np.all(np.abs(same - quad_raw.area) < EXACT)
+    # nested and containing bodies
+    inner = canonicalize([[0.2, 0.2], [0.8, 0.2], [0.5, 0.9]])
+    outer = canonicalize([[-1, -1], [3, -1], [3, 3], [-1, 3]])
+    for p, q in ((inner, unit_square), (unit_square, inner)):
+        assert abs(intersection_area(p, q) - inner.area) < EXACT
+    for p, q in ((outer, unit_square), (unit_square, outer)):
+        assert abs(intersection_area(p, q) - 1.0) < EXACT
+    # edge and corner touching from outside, on lines off the origin
+    for verts in ([[1, 0], [2, 0], [2, 1], [1, 1]], [[1, 0.5], [2, 0.5], [2, 1.5], [1, 1.5]],
+                  [[1, 1], [2, 1], [2, 2], [1, 2]], [[1, 1], [2, 1], [1, 2]]):
+        touch = canonicalize(verts)
+        assert intersection_area(touch, unit_square) == 0.0
+        assert intersection_area(unit_square, touch) == 0.0
+    for j in range(len(v)):  # point reflection through an edge midpoint
+        mid = v[j] + v[(j + 1) % len(v)]
+        assert intersection_area(canonicalize(mid - v), quad_raw) == 0.0
+    # slivers of width 1e-10 along a clip edge, inside and outside
+    w = 1e-10
+    inside = [[1 - w, 0.2], [1, 0.2], [1, 0.7], [1 - w, 0.7]]
+    outside = [[1, 0.2], [1 + w, 0.2], [1 + w, 0.7], [1, 0.7]]
+    assert abs(batch_intersection_area(np.array([inside]), unit_square)[0] - 0.5 * w) < 1e-15
+    assert batch_intersection_area(np.array([outside]), unit_square)[0] == 0.0
+    a, b = v[1], v[2]  # a slanted edge of quad_raw
+    normal = np.array([b[1] - a[1], a[0] - b[0]]) / np.hypot(*(b - a))  # outward
+    for side, expect in ((-1.0, w * np.hypot(*(b - a)) * 0.5), (1.0, 0.0)):
+        sliver = [a + 0.25 * (b - a), a + 0.75 * (b - a)]
+        sliver += [p + side * w * normal for p in sliver[::-1]]
+        area = batch_intersection_area(np.array([sliver]), quad_raw)[0]
+        assert abs(area - expect) < 1e-15, side
 
 
 def test_intersection_octagon_case(unit_square):
@@ -300,8 +333,9 @@ def _contact_subject(row, m, clip):
 def test_prefilter_matches_kernel_on_contacts(m, clip, rows):
     subjects = np.array([_contact_subject(row, m, clip) for row in rows])
     gaps = np.array([row["gap"] for row in rows])
-    assert np.array_equal(batch_intersection_area(subjects, clip),
-                          _clip_areas(subjects, clip))
+    areas = _clip_areas(subjects, clip)
+    assert np.array_equal(batch_intersection_area(subjects, clip), areas)
+    assert np.abs(areas - oracles.sutherland_hodgman_areas(subjects, clip)).max() <= 1e-12
     flagged = _separated(subjects, clip)
     assert flagged[gaps >= 1e-6].all()
     assert not flagged[gaps <= 0.0].any()
