@@ -254,10 +254,15 @@ def cmd_audit(args) -> int:
     for path in paths:
         body = load_polygon(path)
         for rule in rules:
-            base = _audit_base(rule, body, cfg, args.threads)
+            try:
+                base = _audit_base(rule, body, cfg, args.threads)
+            except AipointsError as exc:  # no base: every map of it fails
+                lines.extend(_error_row(path.name, rule, index, exc)
+                             for index in range(len(maps)))
+                continue
             for index, tau in enumerate(maps):
                 try:
-                    moved = apply_affine(tau, body)
+                    moved = apply_affine((tau.linear, tau.translation), body)
                     if rule == "tk":
                         residual, gate = _tk_residual(base, moved, tau, cfg,
                                                       args.threads)
@@ -266,8 +271,7 @@ def cmd_audit(args) -> int:
                         residual = float(np.linalg.norm(
                             fn(moved) - tau.apply(base)))
                 except AipointsError as exc:  # keep auditing the rest
-                    lines.append(f"{path.name},{rule},{index},,,"
-                                 f"error:{type(exc).__name__}")
+                    lines.append(_error_row(path.name, rule, index, exc))
                     continue
                 status = "ok" if residual <= gate else "exceed"
                 residuals[rule].append(residual)
@@ -285,6 +289,10 @@ def cmd_audit(args) -> int:
             lines.append(f"# summary rule={rule} n=0")
     _write_csv(lines, args.out)
     return 0
+
+
+def _error_row(name: str, rule: str, index: int, exc: AipointsError) -> str:
+    return f"{name},{rule},{index},,,error:{type(exc).__name__}"
 
 
 def _audit_base(rule: str, body, cfg: EstimatorConfig, threads: int):

@@ -2,10 +2,12 @@
 
 For unit-area K, L and an anchor v, the target is the ratio of the integrals
 of F_K^k(L)(phi) phi(v) and F_K^k(L)(phi) over the volume-preserving affine
-group truncated to S_R x R^2.  Proposal: M from the truncated Haar sampler,
-x uniform on a disk that covers the translation support of the weight; the
-disk is recentered at centroid(L) - M centroid(K) so translating the inputs
-shifts the estimate exactly (shared seeds).  Weights are the constant Haar
+group truncated to S_R x R^2.  T_k commutes with translations, so K (with v)
+and L are first moved to centroid 0 and the estimate is moved back by
+centroid(L); translating the inputs then shifts the estimate by round-off
+only (shared seeds).  Proposal: M from the truncated Haar sampler, x uniform
+on the disk about 0 of radius translation_support_radius(ctx, M), which
+covers the translation support of the weight.  Weights are the constant Haar
 mass times the disk mass, the estimator is the weighted ratio, standard
 errors come from the delta method, and one R-doubling rerun with fresh
 samples reports the truncation stability.
@@ -100,12 +102,11 @@ def _anchor(v) -> np.ndarray:
 
 def _stream_partial(ctx: WeightContext, anchor: np.ndarray, k: int,
                     radius: float, seed_seq: np.random.SeedSequence,
-                    count: int, centers: tuple[np.ndarray, np.ndarray],
-                    radius_sum: float) -> tuple:
+                    count: int) -> tuple:
     """Accumulate one substream's sums for the ratio estimator."""
-    c_k, c_l = centers
     rng = np.random.default_rng(seed_seq)
     mass = truncated_mass(radius)
+    reach = ctx.R_K + ctx.R_L
     s_a = 0.0
     s_av = np.zeros(2)
     s_a2 = 0.0
@@ -117,9 +118,8 @@ def _stream_partial(ctx: WeightContext, anchor: np.ndarray, k: int,
         m = min(_CHUNK, count - done)
         th1, t, th2, refl = _sample_cartan(radius, rng, m)
         mats, minvs = _decode_cartan(th1, t, th2, refl)
-        rho = np.exp(t) * radius_sum
-        disk = _sample_disk(rng, m)
-        xs = (c_l - mats @ c_k) + rho[:, None] * disk
+        rho = np.exp(t) * reach     # translation_support_radius(ctx, M)
+        xs = rho[:, None] * _sample_disk(rng, m)
         w = mass * np.pi * rho * rho
         f = evaluate_weights_batch(ctx, minvs, xs)
         a = w * f ** k
@@ -141,14 +141,9 @@ def _run_once(ctx: WeightContext, anchor: np.ndarray, k: int, samples: int,
     streams = seed_seq.spawn(STREAM_COUNT)
     base, extra = divmod(samples, STREAM_COUNT)
     counts = [base + (1 if i < extra else 0) for i in range(STREAM_COUNT)]
-    c_k = ctx.K.centroid
-    c_l = ctx.L.centroid
-    radius_sum = (np.linalg.norm(ctx.K.vertices - c_k, axis=1).max()
-                  + np.linalg.norm(ctx.L.vertices - c_l, axis=1).max())
 
     def job(i: int):
-        return _stream_partial(ctx, anchor, k, radius, streams[i], counts[i],
-                               (c_k, c_l), radius_sum)
+        return _stream_partial(ctx, anchor, k, radius, streams[i], counts[i])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -182,6 +177,8 @@ def estimate_tk_unit(K: ConvexPolygon, v, L: ConvexPolygon,
     Returns the estimate at truncation cfg.R together with delta-method
     standard errors, the effective sample size, and the value shift observed
     under r_doubling_rounds successive R-doublings with fresh samples.
+    K (with v) and L are moved to centroid 0, where the proposal disk is
+    centred, and the value is moved back by centroid(L).
 
     Raises
     ------
@@ -190,8 +187,10 @@ def estimate_tk_unit(K: ConvexPolygon, v, L: ConvexPolygon,
     DegenerateWeights
         If fewer than 100 samples land on the weight support.
     """
-    anchor = _anchor(v)
-    ctx = weight_context(K, L)
+    c_k, c_l = K.centroid, L.centroid
+    anchor = _anchor(v) - c_k
+    ctx = weight_context(ConvexPolygon(K.vertices - c_k),
+                         ConvexPolygon(L.vertices - c_l))
     root = np.random.SeedSequence(cfg.seed)
     run_seeds = root.spawn(cfg.r_doubling_rounds + 1)
     values = []
@@ -206,7 +205,7 @@ def estimate_tk_unit(K: ConvexPolygon, v, L: ConvexPolygon,
     for prev, cur in zip(values, values[1:]):
         r_stability = max(r_stability, float(np.linalg.norm(cur - prev)))
     value, std_error, ess, _ = first
-    return PointEstimate(value=value, std_error=std_error, ess=float(ess),
+    return PointEstimate(value=value + c_l, std_error=std_error, ess=float(ess),
                          r_stability=r_stability)
 
 

@@ -127,24 +127,16 @@ def canonicalize(points) -> ConvexPolygon:
     return ConvexPolygon(np.roll(hull, -start, axis=0))
 
 
-def _affine_parts(phi) -> tuple[np.ndarray, np.ndarray]:
-    """Accept a VolumePreservingAffineMap or an (A, b) pair."""
-    if hasattr(phi, "linear") and hasattr(phi, "translation"):
-        return np.asarray(phi.linear, float), np.asarray(phi.translation, float)
-    if isinstance(phi, tuple) and len(phi) == 2:
-        return np.asarray(phi[0], float), np.asarray(phi[1], float)
-    raise TypeError("expected an affine map or an (A, b) pair")
-
-
 def apply_affine(phi, poly: ConvexPolygon) -> ConvexPolygon:
-    """Image of the polygon under an affine map, re-canonicalized.
+    """Image of the polygon under the affine map x -> A x + b, given as the
+    pair ``phi = (A, b)``, re-canonicalized.
 
     Raises
     ------
     SingularMap
         If the linear part is numerically singular.
     """
-    mat, shift = _affine_parts(phi)
+    mat, shift = (np.asarray(part, dtype=float) for part in phi)
     det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
     if abs(det) < 1e-12:
         raise SingularMap(f"linear part has |det| = {abs(det):.3e}")
@@ -166,8 +158,8 @@ def batch_intersection_area(subjects: np.ndarray, clip: ConvexPolygon) -> np.nda
     -------
     (n,) array of intersection areas, clamped to 0 below ``AREA_CLAMP``.
 
-    Rows that a separating axis keeps more than ``SEP_GAP`` away from the
-    clip get 0.0 without clipping; the rest go through :func:`_clip_areas`,
+    Rows that an edge normal of the clip keeps more than ``SEP_GAP`` away
+    from it get 0.0 without clipping; the rest go through :func:`_clip_areas`,
     which would return exactly 0.0 for the flagged rows too.
     """
     subjects = np.asarray(subjects, dtype=float)
@@ -178,13 +170,13 @@ def batch_intersection_area(subjects: np.ndarray, clip: ConvexPolygon) -> np.nda
 
 
 def _separated(subjects: np.ndarray, clip: ConvexPolygon) -> np.ndarray:
-    """Flag the rows that an edge normal of either polygon separates from
-    ``clip`` with a gap above ``SEP_GAP`` (separating-axis theorem).
+    """Flag the rows whose every vertex lies strictly right of one CCW clip
+    edge, with a gap above ``SEP_GAP`` (a separating clip edge normal).
 
     The gap grows as 1 / (shortest clip edge) below unit edge length, so it
     stays at least 1000x the distance band that ``EDGE_EPS`` gives the
-    kernel on every clip edge.  Both parts loop over edges on (m, n) arrays;
-    the subject axes are only tried on rows the clip axes left open.
+    kernel on every clip edge.  The loop runs over clip edges on (m, n)
+    arrays and reads no subject orientation.
     """
     q = clip.vertices
     edges = np.roll(q, -1, axis=0) - q
@@ -192,28 +184,10 @@ def _separated(subjects: np.ndarray, clip: ConvexPolygon) -> np.ndarray:
     gap = SEP_GAP / min(1.0, float(lengths.min()))
     sx = subjects[:, :, 0].T.copy()
     sy = subjects[:, :, 1].T.copy()
-
-    # clip axes: every subject vertex strictly right of one CCW clip edge
     sep = np.zeros(subjects.shape[0], dtype=bool)
     for (qx, qy), (dx, dy), length in zip(q, edges, lengths):
         reach = (dx * sy - dy * sx).max(axis=0)
         sep |= reach < dx * qy - dy * qx - gap * length
-
-    # subject axes: every clip vertex strictly outside one subject edge,
-    # with each subject oriented by the sign of its shoelace area
-    rows = np.flatnonzero(~sep)
-    sx, sy = sx[:, rows], sy[:, rows]
-    ex = np.roll(sx, -1, axis=0) - sx
-    ey = np.roll(sy, -1, axis=0) - sy
-    offset = ex * sy - ey * sx
-    orient = -np.sign(offset.sum(axis=0))  # offset sums to -2 * shoelace area
-    ex *= orient
-    ey *= orient
-    offset *= orient
-    reach = np.full_like(offset, -np.inf)
-    for qx, qy in q:
-        np.maximum(reach, ex * qy - ey * qx, out=reach)
-    sep[rows] = (reach - offset < -gap * np.hypot(ex, ey)).any(axis=0)
     return sep
 
 

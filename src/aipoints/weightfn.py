@@ -62,7 +62,8 @@ def translation_support_radius(ctx: WeightContext, m) -> float:
 
     Any overlap needs x = l - M y with l in L, y in K, so |x| is at most
     R_L + lambda1(M) R_K; the returned lambda1(M) (R_K + R_L) is the safe
-    common envelope (lambda1 >= 1).
+    common envelope (lambda1 >= 1).  The estimator builds ctx from K and L
+    moved to centroid 0 and draws x uniformly on exactly this disk.
     """
     lam1 = singular_values(m).lam1
     return float(lam1 * (ctx.R_K + ctx.R_L))

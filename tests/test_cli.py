@@ -317,7 +317,7 @@ def test_audit_tk_rule(bodies, tmp_path, capsys):
         assert 0.0 <= float(row[3]) <= float(row[4])
 
 
-def test_audit_bad_inputs(tmp_path, capsys):
+def test_audit_bad_inputs(tmp_path, capsys, monkeypatch):
     empty = tmp_path / "none"
     empty.mkdir()
     assert _run(capsys, ["audit", empty])[0] == 4
@@ -330,12 +330,50 @@ def test_audit_bad_inputs(tmp_path, capsys):
         code, out, err = _run(capsys, ["audit", bdir, *argv])
         assert (code, out) == (4, ""), argv
         assert "error:" in err
-    # an unwritable --out fails before the base estimate, which would exit 3
+    # an unwritable --out fails before any estimate runs
+    calls = []
+    monkeypatch.setattr(aipoints.cli, "estimate_tk",
+                        lambda *args, **kwargs: calls.append(args))
     lost = tmp_path / "no_dir" / "x.csv"
     code, out, err = _run(capsys, ["audit", bdir, "--rules", "tk", "--samples",
                                    "50", "--out", lost])
     assert (code, out) == (2, "") and "error:" in err
     assert not lost.parent.exists()
+    assert calls == []
+
+
+def test_audit_failed_base_estimate_gives_error_rows(bodies, tmp_path, capsys,
+                                                     monkeypatch):
+    # 150 draws cannot reach 100 hits, so each tk base estimate fails; its
+    # rows say so and every other row is still written
+    bdir = tmp_path / "bodies"
+    bdir.mkdir()
+    for name in ("q0", "square"):
+        (bdir / f"{name}.json").write_text(bodies[name].read_text())
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return estimate_tk(*args, **kwargs)
+
+    monkeypatch.setattr(aipoints.cli, "estimate_tk", spy)
+    out_csv = tmp_path / "audit.csv"
+    code, _, _ = _run(capsys, ["audit", bdir, "--rules", "centroid,tk",
+                               "--maps", "2", "--samples", "150",
+                               "--radius", "4", "--out", out_csv])
+    assert code == 0
+    rows = [line.split(",") for line in out_csv.read_text().splitlines()
+            if not line.startswith("#")][1:]
+    assert [row[:3] for row in rows] == [
+        [body, rule, str(i)] for body in ("q0.json", "square.json")
+        for rule in ("centroid", "tk") for i in range(2)]
+    for body, rule, _, residual, gate, status in rows:
+        if rule == "centroid":
+            assert status == "ok"
+        else:
+            assert (residual, gate, status) == ("", "", "error:DegenerateWeights")
+    assert len(calls) == 2  # one base estimate per body, no moved ones
+    assert "# summary rule=tk n=0" in out_csv.read_text()
 
 
 def test_audit_rows_hold_package_errors_only(bodies, tmp_path, capsys,

@@ -27,7 +27,7 @@ from aipoints import (
     estimate_tk_unit,
     evaluate_weights_batch,
     normalize_to_unit_area,
-    weight_context,
+    translation_support_radius,
 )
 
 import oracles
@@ -213,18 +213,18 @@ def test_volume_preserving_equivariance(q0u):
 
 
 def test_covering_disk_holds_the_weight_support(q0u, monkeypatch):
-    # _run_once draws x uniformly on the disk of radius
-    # lam1(M) (max|K - c_K| + max|L - c_L|) about c_L - M c_K.  F must vanish
-    # outside that disk, for stretched and reflected M alike; the bodies sit
-    # far from the origin, where the origin-centred translation_support_radius
-    # is no guide to the disk the estimator uses
+    # estimate_tk_unit moves K and L to centroid 0 and draws x uniformly on
+    # the disk about 0 of radius translation_support_radius(ctx, M) =
+    # lam1(M) (max|K - c_K| + max|L - c_L|).  F must vanish outside that
+    # disk, for stretched and reflected M alike; the bodies sit far from the
+    # origin, so the spy must see them centred for the disk to hold
     K = canonicalize(q0u.vertices + [40.0, -25.0])
     tri = normalize_to_unit_area(canonicalize([[0, 0], [1, 0], [0, 1]]))[0]
     L = canonicalize(tri.vertices + [-30.0, 55.0])
     seen = []
 
     def spy(ctx, minvs, xs):
-        seen.append((minvs.copy(), xs.copy()))
+        seen.append((ctx, minvs.copy(), xs.copy()))
         return evaluate_weights_batch(ctx, minvs, xs)
 
     monkeypatch.setattr(aipoints.estimator, "evaluate_weights_batch", spy)
@@ -232,29 +232,30 @@ def test_covering_disk_holds_the_weight_support(q0u, monkeypatch):
                           r_doubling_rounds=0)
     estimate_tk_unit(K, K.centroid, L, cfg)
     monkeypatch.undo()
-    minvs = np.concatenate([m for m, _ in seen])
-    xs = np.concatenate([x for _, x in seen])
+    ctx = seen[0][0]
+    assert all(c is ctx for c, _, _ in seen)
+    assert np.allclose(ctx.K.vertices, K.vertices - K.centroid, atol=1e-12)
+    assert np.allclose(ctx.L.vertices, L.vertices - L.centroid, atol=1e-12)
+    minvs = np.concatenate([m for _, m, _ in seen])
+    xs = np.concatenate([x for _, _, x in seen])
     assert len(xs) == cfg.samples
     mats = np.linalg.inv(minvs)
     lam1 = np.linalg.svd(mats, compute_uv=False)[:, 0]
     assert lam1.max() > 4.0 and (np.linalg.det(mats) < 0).any()
-    reach = (np.linalg.norm(K.vertices - K.centroid, axis=1).max()
-             + np.linalg.norm(L.vertices - L.centroid, axis=1).max())
-    centres = L.centroid - mats @ K.centroid
-    rho = lam1 * reach
-    # the draws fill exactly that disk: P(|x - c| > 0.9 rho) = 1 - 0.81
-    frac = np.linalg.norm(xs - centres, axis=1) / rho
+    rho = np.array([translation_support_radius(ctx, m) for m in mats])
+    assert np.allclose(rho, lam1 * (ctx.R_K + ctx.R_L), rtol=1e-12)
+    # the draws fill exactly that disk: P(|x| > 0.9 rho) = 1 - 0.81
+    frac = np.linalg.norm(xs, axis=1) / rho
     assert frac.max() <= 1.0 + 1e-9
     assert abs(np.mean(frac > 0.9) - 0.19) < 0.015
     # and no weight lies outside it
     rng = np.random.default_rng(8)
     ang = rng.uniform(0.0, 2 * np.pi, len(xs))
     out = rho * rng.uniform(1.0 + 1e-6, 3.0, len(xs))
-    probes = centres + out[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    ctx = weight_context(K, L)
+    probes = out[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     assert np.count_nonzero(evaluate_weights_batch(ctx, minvs, probes)) == 0
-    # while inside it the weight is hit, also beyond the radius `reach` that
-    # the disk would have without the stretch factor lam1
+    # while inside it the weight is hit, also beyond the radius
+    # R_K + R_L that the disk would have without the stretch factor lam1
     inside = evaluate_weights_batch(ctx, minvs, xs)
     assert np.count_nonzero(inside) > 100
     assert np.count_nonzero(inside[frac * lam1 > 1.0]) > 0

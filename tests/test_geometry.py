@@ -333,12 +333,32 @@ def _contact_subject(row, m, clip):
 def test_prefilter_matches_kernel_on_contacts(m, clip, rows):
     subjects = np.array([_contact_subject(row, m, clip) for row in rows])
     gaps = np.array([row["gap"] for row in rows])
+    clip_side = np.array([row["clip_side"] for row in rows])
     areas = _clip_areas(subjects, clip)
     assert np.array_equal(batch_intersection_area(subjects, clip), areas)
     assert np.abs(areas - oracles.sutherland_hodgman_areas(subjects, clip)).max() <= 1e-12
     flagged = _separated(subjects, clip)
-    assert flagged[gaps >= 1e-6].all()
+    # only clip edge normals are tried, so only rows pushed out along one
+    # must be flagged
+    assert flagged[clip_side & (gaps >= 1e-6)].all()
     assert not flagged[gaps <= 0.0].any()
+
+
+def test_kernel_ties_parallel_edge_just_outside():
+    # a regular hexagon whose top edge runs parallel to unit Q0's bottom
+    # edge, inside the EDGE_EPS band below it: the tied, anti-parallel edges
+    # count 0, so the area is exactly 0.0 with and without the prefilter
+    ang = np.pi / 3 * np.arange(6)
+    hexagon = 0.3 * np.stack([np.cos(ang), np.sin(ang)], 1)
+    top = hexagon[:, 1].max()
+    mid = 0.5 * (Q0_UNIT.vertices[0] + Q0_UNIT.vertices[1])
+    assert Q0_UNIT.vertices[0, 1] == Q0_UNIT.vertices[1, 1] == 0.0
+    subjects = np.array([hexagon + [mid[0], -gap - top]
+                         for gap in (1e-13, 5.7e-13, 9e-13)])
+    subjects = np.concatenate([subjects, subjects[:, ::-1]])  # and clockwise
+    assert np.all(subjects[:, :, 1].max(axis=1) < 0.0)
+    assert np.array_equal(batch_intersection_area(subjects, Q0_UNIT), np.zeros(6))
+    assert np.array_equal(_clip_areas(subjects, Q0_UNIT), np.zeros(6))
 
 
 def test_prefilter_leaves_estimate_bitwise_unchanged(monkeypatch):

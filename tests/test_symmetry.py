@@ -106,7 +106,7 @@ def test_reported_maps_are_symmetries(unit_square, triangle, quad_unit):
         diam = max(np.linalg.norm(a - b) for a in verts for b in verts)
         for tau in rep.maps:
             assert abs(abs(np.linalg.det(tau.linear)) - 1.0) <= 1e-9
-            moved = apply_affine(tau, poly)
+            moved = apply_affine((tau.linear, tau.translation), poly)
             assert hausdorff_distance(moved, poly) <= 1e-7 * diam
 
 
