@@ -45,6 +45,10 @@ __all__ = [
 DEFAULT_SAMPLES = 200_000
 DEFAULT_RADIUS = 16.0
 DEFAULT_K = 4           # integrability floor used as the default exponent
+# Largest radius a run may reach (R * 2**r_doubling_rounds).  A decoded draw
+# has |det M| - 1 of about 0.5 R^2 eps, 1.1e-8 at 1e4: 100x inside the 1e-6
+# that VolumePreservingAffineMap accepts, so det M keeps the reflection's sign.
+MAX_RADIUS = 1e4
 STREAM_COUNT = 16       # fixed substream split; threads only consume them
 _CHUNK = 65_536
 _MIN_SUPPORT_HITS = 100
@@ -67,6 +71,11 @@ class EstimatorConfig:
             raise ConfigError(
                 f"truncation radius must be finite and exceed 1, got {self.R!r}")
         _require_int("r_doubling_rounds", self.r_doubling_rounds, 0)
+        # R > 1, so 64 doublings pass MAX_RADIUS (and 2.0**n cannot overflow)
+        if self.R * 2.0 ** min(self.r_doubling_rounds, 64) > MAX_RADIUS:
+            raise ConfigError(
+                f"truncation radius R * 2**r_doubling_rounds must be <= "
+                f"{MAX_RADIUS:g}, got {self.R!r} * 2**{self.r_doubling_rounds}")
         _require_int("seed", self.seed, 0)
 
 
@@ -100,6 +109,14 @@ def _anchor(v) -> np.ndarray:
     return anchor
 
 
+def _finite(est: PointEstimate) -> PointEstimate:
+    """The estimate itself; one with a non-finite field is a ConfigError."""
+    if not np.isfinite([*est.value, *est.std_error, est.ess, est.r_stability]).all():
+        raise ConfigError(f"estimate is not finite: value {est.value.tolist()}, "
+                          f"std_error {est.std_error.tolist()}")
+    return est
+
+
 def _stream_partial(ctx: WeightContext, anchor: np.ndarray, k: int,
                     radius: float, seed_seq: np.random.SeedSequence,
                     count: int) -> tuple:
@@ -117,11 +134,11 @@ def _stream_partial(ctx: WeightContext, anchor: np.ndarray, k: int,
     while done < count:
         m = min(_CHUNK, count - done)
         th1, t, th2, refl = _sample_cartan(radius, rng, m)
-        mats, minvs = _decode_cartan(th1, t, th2, refl)
+        mats = _decode_cartan(th1, t, th2, refl)
         rho = np.exp(t) * reach     # translation_support_radius(ctx, M)
         xs = rho[:, None] * _sample_disk(rng, m)
         w = mass * np.pi * rho * rho
-        f = evaluate_weights_batch(ctx, minvs, xs)
+        f = evaluate_weights_batch(ctx, mats, xs)
         a = w * f ** k
         phiv = mats @ anchor + xs
         a2 = a * a
@@ -183,7 +200,7 @@ def estimate_tk_unit(K: ConvexPolygon, v, L: ConvexPolygon,
     Raises
     ------
     ConfigError
-        If the anchor is not finite.
+        If the anchor or the estimate is not finite.
     DegenerateWeights
         If fewer than 100 samples land on the weight support.
     """
@@ -205,8 +222,8 @@ def estimate_tk_unit(K: ConvexPolygon, v, L: ConvexPolygon,
     for prev, cur in zip(values, values[1:]):
         r_stability = max(r_stability, float(np.linalg.norm(cur - prev)))
     value, std_error, ess, _ = first
-    return PointEstimate(value=value + c_l, std_error=std_error, ess=float(ess),
-                         r_stability=r_stability)
+    return _finite(PointEstimate(value=value + c_l, std_error=std_error,
+                                 ess=float(ess), r_stability=r_stability))
 
 
 def estimate_tk(K: ConvexPolygon, v, L: ConvexPolygon, cfg: EstimatorConfig,
@@ -222,10 +239,10 @@ def estimate_tk(K: ConvexPolygon, v, L: ConvexPolygon, cfg: EstimatorConfig,
     unit_l, scale = normalize_to_unit_area(L)
     anchor = np.asarray(v, dtype=float).reshape(2) / scale_k
     est = estimate_tk_unit(unit_k, anchor, unit_l, cfg, threads=threads)
-    return PointEstimate(value=scale * est.value,
-                         std_error=scale * est.std_error,
-                         ess=est.ess,
-                         r_stability=scale * est.r_stability)
+    return _finite(PointEstimate(value=scale * est.value,
+                                 std_error=scale * est.std_error,
+                                 ess=est.ess,
+                                 r_stability=scale * est.r_stability))
 
 
 def convergence_sweep(K: ConvexPolygon, v, ks, cfg: EstimatorConfig,

@@ -48,12 +48,16 @@ def weight_context(K: ConvexPolygon, L: ConvexPolygon) -> WeightContext:
     )
 
 
-def evaluate_weights_batch(ctx: WeightContext, minvs: np.ndarray,
+def evaluate_weights_batch(ctx: WeightContext, mats: np.ndarray,
                            xs: np.ndarray) -> np.ndarray:
-    """Weights for a batch of maps phi_i = (M_i, x_i), given the inverse
-    linear parts: phi^{-1}(L) = M^{-1}(L - x)."""
-    rel = ctx.L.vertices[None, :, :] - xs[:, None, :]
-    subjects = np.einsum("nab,nvb->nva", minvs, rel)
+    """Weights for a batch of maps phi_i = (M_i, x_i) with |det M_i| = 1:
+    phi^{-1}(L) = M^{-1}(L - x), with M^{-1} = sign(det M) adj(M)."""
+    a, b = mats[:, 0, 0, None], mats[:, 0, 1, None]
+    c, d = mats[:, 1, 0, None], mats[:, 1, 1, None]
+    s = np.where(a * d - b * c < 0.0, -1.0, 1.0)
+    rx = ctx.L.vertices[:, 0] - xs[:, 0, None]
+    ry = ctx.L.vertices[:, 1] - xs[:, 1, None]
+    subjects = np.stack([s * (d * rx - b * ry), s * (a * ry - c * rx)], axis=-1)
     return np.minimum(batch_intersection_area(subjects, ctx.K), 1.0)
 
 

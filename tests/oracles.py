@@ -9,9 +9,11 @@ that no command computes: adaptive-quadrature limits of peaked ratios
 (``power_ratio_limit``), left invariance of the Haar sampler
 (``invariance_check`` with ``smoothed_ball_indicator``), the radial CDF
 (``truncated_cdf``), polar factors and their fractional powers, the
-Hausdorff distance between convex polygons, and Sutherland–Hodgman clipping
+Hausdorff distance between convex polygons, Sutherland–Hodgman clipping
 (``sutherland_hodgman_areas``, the library's kernel before Green's theorem),
-which the clip kernel is checked against.  Linear group elements are plain
+which the clip kernel is checked against, and the weight through an
+``einsum`` with adj(M) (``adjugate_einsum_weights``, the library's subject
+transform before it took the maps themselves).  Linear group elements are plain
 2x2 arrays, as in the library; ``rotation``, ``stretch`` and ``inverse``
 build and invert them.
 """
@@ -22,7 +24,7 @@ from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
 from aipoints import AipointsError, ConvexPolygon, singular_values
-from aipoints.geometry import AREA_CLAMP, EDGE_EPS
+from aipoints.geometry import AREA_CLAMP, EDGE_EPS, batch_intersection_area
 from aipoints.haar import _decode_cartan, _sample_cartan, truncated_mass
 
 
@@ -324,7 +326,7 @@ def invariance_check(g, h, support_radius: float, samples: int,
 
     def side(transform) -> tuple[float, float]:
         th1, t, th2, refl = _sample_cartan(truncation_radius, rng, samples)
-        m, _ = _decode_cartan(th1, t, th2, refl)
+        m = _decode_cartan(th1, t, th2, refl)
         vals = np.asarray(h(transform(m)), float)
         return mass * float(vals.mean()), mass * float(vals.std(ddof=1) / np.sqrt(samples))
 
@@ -356,6 +358,22 @@ def inverse(m) -> np.ndarray:
     """Inverse of a 2x2 array: its adjugate over its determinant."""
     a, b, c, d = np.asarray(m, float).ravel()
     return np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+
+
+def adjugate_einsum_weights(ctx, mats: np.ndarray, reflect: np.ndarray,
+                            xs: np.ndarray) -> np.ndarray:
+    """F for a batch of maps (M_i, x_i) with M_i^{-1} built as adj(M_i)
+    times the reflection coin's sign (+1, or -1 on the reflected coset) and
+    applied to L - x with ``einsum``."""
+    adj = np.empty_like(mats)
+    adj[:, 0, 0] = mats[:, 1, 1]
+    adj[:, 0, 1] = -mats[:, 0, 1]
+    adj[:, 1, 0] = -mats[:, 1, 0]
+    adj[:, 1, 1] = mats[:, 0, 0]
+    minvs = adj * np.where(reflect, -1.0, 1.0)[:, None, None]
+    rel = ctx.L.vertices[None, :, :] - xs[:, None, :]
+    subjects = np.einsum("nab,nvb->nva", minvs, rel)
+    return np.minimum(batch_intersection_area(subjects, ctx.K), 1.0)
 
 
 def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:

@@ -68,8 +68,8 @@ def _random_unimodular(rng, spread=0.9):
 
 def _weight(ctx, phi):
     """F for one map, through the batch path the estimator runs."""
-    minv = inverse(phi.linear)
-    return float(evaluate_weights_batch(ctx, minv[None], phi.translation[None])[0])
+    return float(evaluate_weights_batch(ctx, phi.linear[None],
+                                        phi.translation[None])[0])
 
 
 def _oracle_z(pa, pb, exact, rng, n):

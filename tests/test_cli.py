@@ -169,6 +169,16 @@ def test_point_exit_codes(bodies, tmp_path, capsys):
                                  "--ks", "2", "--out", out_csv])
     assert code == 4 and "error: anchor" in err
     assert not out_csv.exists()
+    # radii past MAX_RADIUS (1e4) over the R-doubling, and a finite anchor
+    # whose estimate overflows, used to exit 0 with NaN on stdout
+    for radius in ("1e160", "5001"):
+        code, out, err = _run(capsys, ["point", bodies["q0"], "--rule", "tk",
+                                       "--radius", radius])
+        assert (code, out) == (4, "") and "truncation radius" in err
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = _run(capsys, ["point", bodies["q0"], "--rule", "tk",
+                                       "--anchor", "1e200,0", "--samples", "20000"])
+    assert (code, out) == (4, "") and "not finite" in err
 
 
 def test_parser_defaults_match_the_estimator():

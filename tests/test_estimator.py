@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import aipoints.estimator
+from aipoints.estimator import MAX_RADIUS
+from aipoints.haar import _decode_cartan, _sample_cartan
 from aipoints import (
     AnchorOutsideFixedSet,
     ConfigError,
@@ -89,6 +91,32 @@ def test_config_validation(q0u, monkeypatch):
         with pytest.raises(ConfigError, match="k must be"):
             convergence_sweep(q0u, q0u.centroid, ks, small, check_anchor=False)
     assert calls == []
+    # a run may not reach past MAX_RADIUS with its R-doublings: R = 1e160
+    # used to give NaN value, std_error and ess from an overflowing cosh
+    EstimatorConfig(R=MAX_RADIUS, r_doubling_rounds=0)
+    EstimatorConfig(R=MAX_RADIUS / 4, r_doubling_rounds=2)
+    for bad in ({"R": 1e160}, {"R": MAX_RADIUS}, {"R": 2.0, "r_doubling_rounds": 13},
+                {"R": 2.0, "r_doubling_rounds": 5000},
+                {"R": np.nextafter(MAX_RADIUS, np.inf), "r_doubling_rounds": 0}):
+        with pytest.raises(ConfigError, match="truncation radius"):
+            EstimatorConfig(**bad)
+    # the weight applies M^{-1} = sign(det M) adj(M): at the largest radius a
+    # run may reach, |det M| stays within 1e-7 of 1 and det M < 0 exactly on
+    # the reflected draws (at R = 1e8 some 1e-5 of the signs disagree)
+    th1, t, th2, refl = _sample_cartan(MAX_RADIUS, np.random.default_rng(5),
+                                       200_000)
+    m = _decode_cartan(th1, t, th2, refl)
+    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    assert np.exp(t).max() > 0.5 * MAX_RADIUS
+    assert np.abs(np.abs(det) - 1.0).max() < 1e-7
+    assert np.array_equal(np.sign(det), np.where(refl, -1.0, 1.0))
+    # a finite anchor whose phi(v)^2 overflows gave std_error [nan, nan]
+    cfg = EstimatorConfig(samples=20_000, R=4.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for estimate in (estimate_tk_unit, estimate_tk):
+            with pytest.raises(ConfigError, match="not finite"):
+                estimate(q0u, (1e200, 0.0), q0u, cfg)
+    assert np.isfinite(estimate_tk_unit(q0u, (1e100, 0.0), q0u, cfg).std_error).all()
 
 
 def test_square_center_anchor(origin_square):
@@ -223,9 +251,9 @@ def test_covering_disk_holds_the_weight_support(q0u, monkeypatch):
     L = canonicalize(tri.vertices + [-30.0, 55.0])
     seen = []
 
-    def spy(ctx, minvs, xs):
-        seen.append((ctx, minvs.copy(), xs.copy()))
-        return evaluate_weights_batch(ctx, minvs, xs)
+    def spy(ctx, mats, xs):
+        seen.append((ctx, mats.copy(), xs.copy()))
+        return evaluate_weights_batch(ctx, mats, xs)
 
     monkeypatch.setattr(aipoints.estimator, "evaluate_weights_batch", spy)
     cfg = EstimatorConfig(k=2, samples=20_000, R=8.0, seed=4,
@@ -236,10 +264,9 @@ def test_covering_disk_holds_the_weight_support(q0u, monkeypatch):
     assert all(c is ctx for c, _, _ in seen)
     assert np.allclose(ctx.K.vertices, K.vertices - K.centroid, atol=1e-12)
     assert np.allclose(ctx.L.vertices, L.vertices - L.centroid, atol=1e-12)
-    minvs = np.concatenate([m for _, m, _ in seen])
+    mats = np.concatenate([m for _, m, _ in seen])
     xs = np.concatenate([x for _, _, x in seen])
     assert len(xs) == cfg.samples
-    mats = np.linalg.inv(minvs)
     lam1 = np.linalg.svd(mats, compute_uv=False)[:, 0]
     assert lam1.max() > 4.0 and (np.linalg.det(mats) < 0).any()
     rho = np.array([translation_support_radius(ctx, m) for m in mats])
@@ -253,10 +280,10 @@ def test_covering_disk_holds_the_weight_support(q0u, monkeypatch):
     ang = rng.uniform(0.0, 2 * np.pi, len(xs))
     out = rho * rng.uniform(1.0 + 1e-6, 3.0, len(xs))
     probes = out[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    assert np.count_nonzero(evaluate_weights_batch(ctx, minvs, probes)) == 0
+    assert np.count_nonzero(evaluate_weights_batch(ctx, mats, probes)) == 0
     # while inside it the weight is hit, also beyond the radius
     # R_K + R_L that the disk would have without the stretch factor lam1
-    inside = evaluate_weights_batch(ctx, minvs, xs)
+    inside = evaluate_weights_batch(ctx, mats, xs)
     assert np.count_nonzero(inside) > 100
     assert np.count_nonzero(inside[frac * lam1 > 1.0]) > 0
 

@@ -13,6 +13,7 @@ from aipoints import (
     translation_support_radius,
     weight_context,
 )
+from aipoints.haar import _decode_cartan, _sample_cartan, _sample_disk
 
 import oracles
 from oracles import inverse
@@ -24,8 +25,8 @@ def _affine(mat, shift=(0.0, 0.0)) -> VolumePreservingAffineMap:
 
 def _weight(ctx, phi: VolumePreservingAffineMap) -> float:
     """F for one map, through the batch path the estimator runs."""
-    minv = inverse(phi.linear)
-    return float(evaluate_weights_batch(ctx, minv[None], phi.translation[None])[0])
+    return float(evaluate_weights_batch(ctx, phi.linear[None],
+                                        phi.translation[None])[0])
 
 
 def _rand_unimodular(rng, spread=0.9):
@@ -136,12 +137,33 @@ def test_support_radius_mass_probe(ctx_mixed, rng):
     ang = rng.uniform(0.0, 2 * np.pi, size=n)
     rad = lam1 * rng.uniform(1.0001, 3.0, size=n)
     xs = rad[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    minvs = np.linalg.inv(ms)
     ws = np.empty(n)
     for lo in range(0, n, 8192):
         hi = min(lo + 8192, n)
-        ws[lo:hi] = evaluate_weights_batch(ctx_mixed, minvs[lo:hi], xs[lo:hi])
+        ws[lo:hi] = evaluate_weights_batch(ctx_mixed, ms[lo:hi], xs[lo:hi])
     assert np.count_nonzero(ws) == 0
+
+
+def test_batch_matches_adjugate_einsum_bitwise(quad_unit):
+    # the explicit s adj(M) products give the bytes of the einsum over
+    # adj(M) times the reflection sign, on Haar draws spread over the
+    # estimator's disk, reflected ones included
+    q0 = ConvexPolygon(quad_unit.vertices - quad_unit.centroid)
+    tri, _ = normalize_to_unit_area(canonicalize([[0, 0], [1, 0], [0, 1]]))
+    tri = ConvexPolygon(tri.vertices - tri.centroid)
+    rng = np.random.default_rng(41)
+    for ctx in (weight_context(q0, q0), weight_context(q0, tri)):
+        for radius in (2.0, 16.0, 32.0):
+            th1, t, th2, refl = _sample_cartan(radius, rng, 20_000)
+            mats = _decode_cartan(th1, t, th2, refl)
+            rho = np.exp(t) * (ctx.R_K + ctx.R_L)
+            xs = rho[:, None] * _sample_disk(rng, len(t))
+            got = evaluate_weights_batch(ctx, mats, xs)
+            ref = oracles.adjugate_einsum_weights(ctx, mats, refl, xs)
+            assert refl.any() and (~refl).any()
+            assert np.count_nonzero(got[refl]) > 0
+            assert np.count_nonzero(got[~refl]) > 0
+            assert np.array_equal(got, ref)
 
 
 def test_slab_envelope_identity_vacuous(ctx_square, ctx_mixed):
@@ -155,11 +177,10 @@ def test_slab_envelope_crushes_stretch(ctx_mixed, rng):
     r = max(ctx_mixed.R_K, ctx_mixed.R_L)
     assert env <= 4.0 * r * r * 0.01 + 1e-15
     worst = 0.0
-    minv = inverse(m)
     for lo in range(0, 10_000, 2000):
         xs = rng.uniform(-2.0, 2.0, size=(2000, 2))
-        minvs = np.broadcast_to(minv, (2000, 2, 2))
-        worst = max(worst, evaluate_weights_batch(ctx_mixed, minvs, xs).max())
+        mats = np.broadcast_to(m, (2000, 2, 2))
+        worst = max(worst, evaluate_weights_batch(ctx_mixed, mats, xs).max())
     assert worst <= env + 1e-12
 
 
