@@ -2,11 +2,12 @@
 and the center of the maximum-area inscribed (John) ellipse.
 
 The John ellipse {c + A u : |u| <= 1} maximizes log det A over SPD A subject
-to every edge half-plane n.x <= b satisfying n.c + |A n| <= b.  The solver is
-an interior ascent in the primal variables (c, A): damped Newton with
-analytic gradient and Hessian on log det A + mu * sum(log slack), warm-started
-down a mu ladder, with feasibility-preserving backtracking and a global
-iteration cap of 10^4.
+to every edge half-plane n.x <= b satisfying |A n| <= s = b - n.c.  The solver
+is an interior ascent in theta = (a, b, d, c_x, c_y), A = [[a, b], [b, d]]:
+damped Newton on log det A + mu * sum(log phi_i) with phi_i = s_i^2 - |A n_i|^2,
+whose log is the barrier of the second-order cone |A n_i| <= s_i (Boyd &
+Vandenberghe, Convex Optimization, 11.6), warm-started down a mu ladder,
+with backtracking that stays in the domain and a global iteration cap of 10^4.
 """
 
 from __future__ import annotations
@@ -20,50 +21,45 @@ __all__ = ["john_center", "john_ellipse"]
 
 _MAX_ITER = 10_000
 _MU_LADDER = tuple(10.0 ** (-e) for e in range(10))  # 1 ... 1e-9
+_LORENTZ = np.array([1.0, -1.0, -1.0])               # phi = z.J z, J = diag(1, -1, -1)
 
 
-def _halfplanes(poly: ConvexPolygon) -> tuple[np.ndarray, np.ndarray]:
-    """Unit outward normals and offsets with n.x <= b on the body."""
+def _cones(poly: ConvexPolygon) -> tuple[np.ndarray, np.ndarray]:
+    """Per-edge affine maps z_i = (s_i, A n_i) = z0_i + D_i theta, with unit
+    outward normals n_i and offsets b_i (n_i.x <= b_i on the body): the (E, 3)
+    constants z0 and the (E, 3, 5) matrices D."""
     v = poly.vertices
     e = np.roll(v, -1, axis=0) - v
-    normals = np.stack([e[:, 1], -e[:, 0]], axis=1)
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    offsets = np.einsum("ei,ei->e", normals, v)
-    return normals, offsets
+    nx, ny = np.stack([e[:, 1], -e[:, 0]]) / np.hypot(e[:, 0], e[:, 1])
+    zero = np.zeros_like(nx)
+    offsets = nx * v[:, 0] + ny * v[:, 1]
+    z0 = np.stack([offsets, zero, zero], axis=1)
+    maps = np.stack([[zero, zero, zero, -nx, -ny],
+                     [nx, ny, zero, zero, zero],
+                     [zero, nx, ny, zero, zero]]).transpose(2, 0, 1)
+    return z0, maps
 
 
-def _slacks(theta: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    a, b, d, cx, cy = theta
-    g = normals @ np.array([[a, b], [b, d]])
-    rho = np.linalg.norm(g, axis=1)
-    return offsets - normals @ np.array([cx, cy]) - rho
-
-
-def _feasible(theta: np.ndarray, normals, offsets) -> bool:
-    a, b, d = theta[:3]
-    if a <= 0.0 or a * d - b * b <= 0.0:
-        return False
-    return bool(np.all(_slacks(theta, normals, offsets) > 0.0))
-
-
-def _objective(theta: np.ndarray, normals, offsets, mu: float) -> float:
+def _objective(theta: np.ndarray, z0, maps, mu: float) -> float:
+    """log det A + mu * sum(log phi_i); -inf outside the domain (a <= 0,
+    det A <= 0, or some s_i <= 0 or phi_i <= 0)."""
     a, b, d = theta[:3]
     det = a * d - b * b
-    s = _slacks(theta, normals, offsets)
-    return float(np.log(det) + mu * np.sum(np.log(s)))
+    z = z0 + maps @ theta
+    phi = (z * z) @ _LORENTZ
+    if a <= 0.0 or det <= 0.0 or np.any(z[:, 0] <= 0.0) or np.any(phi <= 0.0):
+        return -np.inf
+    return float(np.log(det) + mu * np.sum(np.log(phi)))
 
 
-def _grad_hess(theta: np.ndarray, normals, offsets, mu: float):
-    a, b, d, cx, cy = theta
+def _grad_hess(theta: np.ndarray, z0, maps, mu: float):
+    a, b, d = theta[:3]
     det = a * d - b * b
-    amat = np.array([[a, b], [b, d]])
-    g = normals @ amat                       # (E, 2)
-    rho = np.linalg.norm(g, axis=1)          # (E,)
-    s = offsets - normals @ np.array([cx, cy]) - rho
+    z = z0 + maps @ theta
+    phi = (z * z) @ _LORENTZ
 
     grad = np.zeros(5)
     hess = np.zeros((5, 5))
-
     grad[:3] = np.array([d, -2.0 * b, a]) / det
     hess[:3, :3] = np.array([
         [-d * d, 2.0 * b * d, -b * b],
@@ -71,17 +67,12 @@ def _grad_hess(theta: np.ndarray, normals, offsets, mu: float):
         [-b * b, 2.0 * a * b, -a * a],
     ]) / (det * det)
 
-    # per-edge barrier pieces; bmat maps (a, b, d) -> A n
-    for i in range(normals.shape[0]):
-        nx, ny = normals[i]
-        bmat = np.array([[nx, ny, 0.0], [0.0, nx, ny]])
-        btg = bmat.T @ g[i]                  # (3,)
-        grad_rho = btg / rho[i]
-        hess_rho = (bmat.T @ bmat - np.outer(grad_rho, grad_rho)) / rho[i]
-        ds = np.concatenate([-grad_rho, -normals[i]])   # gradient of slack
-        grad += mu * ds / s[i]
-        hess[:3, :3] += mu * (-hess_rho) / s[i]
-        hess += mu * (-np.outer(ds, ds)) / (s[i] * s[i])
+    # phi_i has gradient 2 D_i^T J z_i and constant Hessian 2 D_i^T J D_i
+    dlog = 2.0 * np.einsum("eki,ek->ei", maps, z * _LORENTZ / phi[:, None])
+    curv = 2.0 * np.einsum("eki,k,ekj->ij", maps / phi[:, None, None],
+                           _LORENTZ, maps)
+    grad += mu * dlog.sum(axis=0)
+    hess += mu * (curv - dlog.T @ dlog)
     return grad, hess
 
 
@@ -94,9 +85,9 @@ def john_ellipse(poly: ConvexPolygon, max_iter: int = _MAX_ITER
     ConvergenceFailure
         If the iteration cap is exhausted before the barrier ladder finishes.
     """
-    normals, offsets = _halfplanes(poly)
+    z0, maps = _cones(poly)
     c0 = np.array(poly.centroid)
-    r0 = 0.5 * float(np.min(offsets - normals @ c0))
+    r0 = 0.5 * float(np.min(z0[:, 0] + maps[:, 0, 3:] @ c0))  # half the least slack at c0
     theta = np.array([r0, 0.0, r0, c0[0], c0[1]])
     iters = 0
     for mu in _MU_LADDER:
@@ -105,7 +96,7 @@ def john_ellipse(poly: ConvexPolygon, max_iter: int = _MAX_ITER
                 raise ConvergenceFailure(
                     f"inscribed-ellipse solver hit the {max_iter}-iteration cap")
             iters += 1
-            grad, hess = _grad_hess(theta, normals, offsets, mu)
+            grad, hess = _grad_hess(theta, z0, maps, mu)
             try:
                 step = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError:
@@ -116,12 +107,11 @@ def john_ellipse(poly: ConvexPolygon, max_iter: int = _MAX_ITER
                 decrement = float(grad @ step)
             if decrement < 1e-18:
                 break
-            base = _objective(theta, normals, offsets, mu)
+            base = _objective(theta, z0, maps, mu)
             alpha = 1.0
             for _ in range(60):
                 cand = theta + alpha * step
-                if _feasible(cand, normals, offsets) and \
-                        _objective(cand, normals, offsets, mu) >= base + 0.25 * alpha * float(grad @ step):
+                if _objective(cand, z0, maps, mu) >= base + 0.25 * alpha * decrement:
                     theta = cand
                     break
                 alpha *= 0.5

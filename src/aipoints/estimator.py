@@ -131,24 +131,27 @@ def _stream_partial(ctx: WeightContext, anchor: np.ndarray, k: int,
     s_a2vv = np.zeros(2)
     n_pos = 0
     done = 0
-    while done < count:
-        m = min(_CHUNK, count - done)
-        th1, t, th2, refl = _sample_cartan(radius, rng, m)
-        mats = _decode_cartan(th1, t, th2, refl)
-        rho = np.exp(t) * reach     # translation_support_radius(ctx, M)
-        xs = rho[:, None] * _sample_disk(rng, m)
-        w = mass * np.pi * rho * rho
-        f = evaluate_weights_batch(ctx, mats, xs)
-        a = w * f ** k
-        phiv = mats @ anchor + xs
-        a2 = a * a
-        s_a += float(a.sum())
-        s_av += a @ phiv
-        s_a2 += float(a2.sum())
-        s_a2v += a2 @ phiv
-        s_a2vv += a2 @ (phiv * phiv)
-        n_pos += int(np.count_nonzero(f))
-        done += m
+    # an overflowing anchor gives inf/NaN sums, which _finite refuses; this
+    # runs on pool threads, so the guard must be set here
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < count:
+            m = min(_CHUNK, count - done)
+            th1, t, th2, refl = _sample_cartan(radius, rng, m)
+            mats = _decode_cartan(th1, t, th2, refl)
+            rho = np.exp(t) * reach     # translation_support_radius(ctx, M)
+            xs = rho[:, None] * _sample_disk(rng, m)
+            w = mass * np.pi * rho * rho
+            f = evaluate_weights_batch(ctx, mats, xs)
+            a = w * f ** k
+            phiv = mats @ anchor + xs
+            a2 = a * a
+            s_a += float(a.sum())
+            s_av += a @ phiv
+            s_a2 += float(a2.sum())
+            s_a2v += a2 @ phiv
+            s_a2vv += a2 @ (phiv * phiv)
+            n_pos += int(np.count_nonzero(f))
+            done += m
     return s_a, s_av, s_a2, s_a2v, s_a2vv, n_pos
 
 
@@ -181,7 +184,8 @@ def _run_once(ctx: WeightContext, anchor: np.ndarray, k: int, samples: int,
             f"only {n_pos} of {samples} samples hit the weight support "
             f"(k={k}, R={radius}); raise samples or lower k/R")
     value = s_av / s_a
-    var = (s_a2vv - 2.0 * value * s_a2v + value * value * s_a2) / (s_a * s_a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = (s_a2vv - 2.0 * value * s_a2v + value * value * s_a2) / (s_a * s_a)
     std_error = np.sqrt(np.maximum(var, 0.0))
     ess = s_a * s_a / s_a2
     return value, std_error, ess, n_pos
@@ -219,8 +223,9 @@ def estimate_tk_unit(K: ConvexPolygon, v, L: ConvexPolygon,
         if i == 0:
             first = out
     r_stability = 0.0
-    for prev, cur in zip(values, values[1:]):
-        r_stability = max(r_stability, float(np.linalg.norm(cur - prev)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for prev, cur in zip(values, values[1:]):
+            r_stability = max(r_stability, float(np.linalg.norm(cur - prev)))
     value, std_error, ess, _ = first
     return _finite(PointEstimate(value=value + c_l, std_error=std_error,
                                  ess=float(ess), r_stability=r_stability))

@@ -55,13 +55,18 @@ class ConvexPolygon:
         cross = _cross(nxt - verts, nxt2 - nxt)
         if np.any(cross <= 0.0):
             raise DegenerateBody("vertices are not strictly convex counterclockwise")
-        area2 = np.sum(verts[:, 0] * nxt[:, 1] - nxt[:, 0] * verts[:, 1])
+        # shoelace sums about the first vertex, so a body far from the origin
+        # relative to its size keeps its area and centroid
+        u = verts - verts[0]
+        unxt = np.roll(u, -1, axis=0)
+        fan = u[:, 0] * unxt[:, 1] - unxt[:, 0] * u[:, 1]
+        area2 = np.sum(fan)
         if area2 <= 0.0:
             raise DegenerateBody("polygon area is not positive")
         self.area = 0.5 * area2
-        cx = np.sum((verts[:, 0] + nxt[:, 0]) * (verts[:, 0] * nxt[:, 1] - nxt[:, 0] * verts[:, 1]))
-        cy = np.sum((verts[:, 1] + nxt[:, 1]) * (verts[:, 0] * nxt[:, 1] - nxt[:, 0] * verts[:, 1]))
-        self.centroid = np.array([cx, cy]) / (6.0 * self.area)
+        cx = np.sum((u[:, 0] + unxt[:, 0]) * fan)
+        cy = np.sum((u[:, 1] + unxt[:, 1]) * fan)
+        self.centroid = verts[0] + np.array([cx, cy]) / (6.0 * self.area)
         self.centroid.setflags(write=False)
         verts = verts.copy()
         verts.setflags(write=False)

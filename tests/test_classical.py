@@ -13,6 +13,7 @@ from aipoints import (
 )
 
 import oracles
+from aipoints.classical import _cones, _grad_hess, _objective
 
 # max-area inscribed ellipse of the right triangle: area(T) / (3 sqrt(3))
 TRIANGLE_DET = 0.5 / (3.0 * np.sqrt(3.0))
@@ -149,6 +150,47 @@ def test_rules_land_inside(rng):
         poly = _random_poly(rng)
         for p in (john_center(poly), np.array(poly.centroid)):
             assert oracles.contains(poly.vertices, p[None])[0]
+
+
+def test_john_far_from_origin(quad_raw, unit_square):
+    # the solver starts at the centroid, which must survive a large shift
+    base = john_center(quad_raw)
+    for shift in (1e4, 1e6):
+        moved = canonicalize(quad_raw.vertices + shift)
+        assert np.linalg.norm(john_center(moved) - base - shift) <= 1e-8
+    tiny = canonicalize(1000.0 + 1e-3 * unit_square.vertices)
+    c = john_center(tiny)
+    assert np.allclose(c, 1000.0005, rtol=0.0, atol=1e-9)   # 1e-6 of the side
+    assert oracles.contains(tiny.vertices, c[None])[0]
+
+
+def test_grad_hess_matches_central_differences(rng):
+    # Units of r, half the least edge slack at the centroid: A = r R diag(1.3,
+    # 0.7) R^T and |c - centroid| <= 0.3 r keep every s_i >= 1.7 and every
+    # phi_i >= 1.2, so each derivative order of f costs a factor <= ~6.  With
+    # h = 1e-4 the truncation error is ~(6h)^2 = 4e-7 of the largest entry
+    # and the round-off eps |f| / h^2 is ~1e-6 of it: rtol 1e-5.
+    h = 1e-4
+    for _ in range(6):
+        poly = _random_poly(rng)
+        z0, maps = _cones(poly)
+        centroid = np.array(poly.centroid)
+        r = 0.5 * float(np.min(z0[:, 0] + maps[:, 0, 3:] @ centroid))
+        rot = oracles.rotation(rng.uniform(0.0, np.pi))
+        amat = r * rot @ np.diag([1.3, 0.7]) @ rot.T
+        c = centroid + 0.3 * r * rng.uniform(-0.7, 0.7, 2)
+        theta = np.array([amat[0, 0], amat[0, 1], amat[1, 1], *c])
+        for mu in (1.0, 1e-3):
+            def f(t):
+                return _objective(theta + r * np.asarray(t), z0, maps, mu)
+            grad, hess = _grad_hess(theta, z0, maps, mu)
+            grad, hess = r * grad, r * r * hess     # derivatives in units of r
+            eye = h * np.eye(5)
+            fd_grad = np.array([(f(e) - f(-e)) / (2 * h) for e in eye])
+            fd_hess = np.array([[(f(ei + ej) - f(ei - ej) - f(ej - ei) + f(-ei - ej))
+                                 / (4 * h * h) for ej in eye] for ei in eye])
+            for want, got in ((fd_grad, grad), (fd_hess, hess)):
+                assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
 
 def test_john_iteration_cap(triangle):

@@ -88,6 +88,20 @@ def test_quad_area_centroid_exact(quad_raw):
     assert np.allclose(quad_raw.centroid, [3.745 / 6.21, 3.053 / 6.21], atol=1e-12)
 
 
+def test_area_centroid_far_from_origin(quad_raw, unit_square):
+    # the shoelace sums run about the first vertex, so a shift that is large
+    # against the body's size costs only the rounding of the coordinates
+    for shift in (1e4, 1e6):
+        moved = canonicalize(quad_raw.vertices + shift)
+        assert np.allclose(moved.centroid, quad_raw.centroid + shift,
+                           rtol=0.0, atol=1e-14 * shift)
+        assert moved.area == pytest.approx(quad_raw.area, rel=1e-9)
+    tiny = canonicalize(1000.0 + 1e-3 * unit_square.vertices)
+    assert np.allclose(tiny.centroid, 1000.0005, rtol=0.0, atol=EXACT)
+    assert tiny.area == pytest.approx(1e-6, rel=1e-9)
+    assert oracles.contains(tiny.vertices, tiny.centroid[None])[0]
+
+
 def test_area_centroid_vs_rejection_oracle(quad_raw, rng):
     a = oracles.mc_area(quad_raw.vertices, rng, n=1_000_000)
     se_a = 1.43 * np.sqrt(0.724 * 0.276 / 1_000_000)
