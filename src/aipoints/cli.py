@@ -236,6 +236,8 @@ def cmd_audit(args) -> int:
             raise ConfigError(f"unknown rule {rule!r}")
     if not rules:
         raise ConfigError("--rules names no rule")
+    if len(set(rules)) < len(rules):
+        raise ConfigError(f"--rules names a rule more than once: {args.rules!r}")
     if args.maps < 1:
         raise ConfigError(f"--maps must be >= 1, got {args.maps}")
     paths = sorted(args.bodies.glob("*.json"))

@@ -14,7 +14,9 @@ samples reports the truncation stability.
 
 Sampling is always split over a fixed number of seeded substreams combined in
 stream order, so results are bitwise reproducible for a fixed seed regardless
-of the thread count.
+of the thread count.  Consecutive substreams of at most _GROUP rows in all
+are evaluated as one batch, each summed over its own slice of it; threads
+consume these groups, so a run of at most _GROUP samples uses one thread.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ DEFAULT_K = 4           # integrability floor used as the default exponent
 # has |det M| - 1 of about 0.5 R^2 eps, 1.1e-8 at 1e4: 100x inside the 1e-6
 # that VolumePreservingAffineMap accepts, so det M keeps the reflection's sign.
 MAX_RADIUS = 1e4
-STREAM_COUNT = 16       # fixed substream split; threads only consume them
+STREAM_COUNT = 16       # fixed substream split; threads consume groups
 _CHUNK = 65_536
+_GROUP = 16_384         # rows of consecutive substreams evaluated in one batch
 _MIN_SUPPORT_HITS = 100
 
 SWEEP_CSV_HEADER = ("k", "value_x", "value_y", "se_x", "se_y", "err_to_v")
@@ -118,41 +121,54 @@ def _finite(est: PointEstimate) -> PointEstimate:
 
 
 def _stream_partial(ctx: WeightContext, anchor: np.ndarray, k: int,
-                    radius: float, seed_seq: np.random.SeedSequence,
-                    count: int) -> tuple:
-    """Accumulate one substream's sums for the ratio estimator."""
-    rng = np.random.default_rng(seed_seq)
+                    radius: float, seed_seqs: list[np.random.SeedSequence],
+                    counts: list[int]) -> list[tuple]:
+    """Accumulate the sums of a group of substreams for the ratio estimator.
+
+    Each substream draws from its own generator in pieces of at most _CHUNK
+    rows (Cartan coordinates, then the disk).  The pieces of one round are
+    evaluated as one batch, and each substream's sums are taken over its own
+    slice of it, so they do not depend on how substreams are grouped.
+    """
+    rngs = [np.random.default_rng(seq) for seq in seed_seqs]
     mass = truncated_mass(radius)
     reach = ctx.R_K + ctx.R_L
-    s_a = 0.0
-    s_av = np.zeros(2)
-    s_a2 = 0.0
-    s_a2v = np.zeros(2)
-    s_a2vv = np.zeros(2)
-    n_pos = 0
+    sums = [[0.0, np.zeros(2), 0.0, np.zeros(2), np.zeros(2), 0] for _ in counts]
     done = 0
     # an overflowing anchor gives inf/NaN sums, which _finite refuses; this
     # runs on pool threads, so the guard must be set here
     with np.errstate(over="ignore", invalid="ignore"):
-        while done < count:
-            m = min(_CHUNK, count - done)
-            th1, t, th2, refl = _sample_cartan(radius, rng, m)
+        while done < max(counts):
+            sizes = [min(_CHUNK, max(count - done, 0)) for count in counts]
+            draws = [(*_sample_cartan(radius, rng, m), _sample_disk(rng, m))
+                     for rng, m in zip(rngs, sizes)]
+            th1, t, th2, refl, disk = (_joined(parts) for parts in zip(*draws))
             mats = _decode_cartan(th1, t, th2, refl)
             rho = np.exp(t) * reach     # translation_support_radius(ctx, M)
-            xs = rho[:, None] * _sample_disk(rng, m)
+            xs = rho[:, None] * disk
             w = mass * np.pi * rho * rho
             f = evaluate_weights_batch(ctx, mats, xs)
             a = w * f ** k
             phiv = mats @ anchor + xs
             a2 = a * a
-            s_a += float(a.sum())
-            s_av += a @ phiv
-            s_a2 += float(a2.sum())
-            s_a2v += a2 @ phiv
-            s_a2vv += a2 @ (phiv * phiv)
-            n_pos += int(np.count_nonzero(f))
-            done += m
-    return s_a, s_av, s_a2, s_a2v, s_a2vv, n_pos
+            phiv2 = phiv * phiv
+            lo = 0
+            for acc, m in zip(sums, sizes):
+                part = slice(lo, lo + m)
+                lo += m
+                acc[0] += float(a[part].sum())
+                acc[1] += a[part] @ phiv[part]
+                acc[2] += float(a2[part].sum())
+                acc[3] += a2[part] @ phiv[part]
+                acc[4] += a2[part] @ phiv2[part]
+                acc[5] += int(np.count_nonzero(f[part]))
+            done += _CHUNK
+    return [tuple(acc) for acc in sums]
+
+
+def _joined(parts: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The pieces end to end; a lone piece is returned as it is, uncopied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _run_once(ctx: WeightContext, anchor: np.ndarray, k: int, samples: int,
@@ -161,15 +177,19 @@ def _run_once(ctx: WeightContext, anchor: np.ndarray, k: int, samples: int,
     streams = seed_seq.spawn(STREAM_COUNT)
     base, extra = divmod(samples, STREAM_COUNT)
     counts = [base + (1 if i < extra else 0) for i in range(STREAM_COUNT)]
+    # counts[0] is the largest; a substream longer than _GROUP runs alone
+    per_group = max(1, _GROUP // counts[0])
+    groups = [slice(i, i + per_group) for i in range(0, STREAM_COUNT, per_group)]
 
-    def job(i: int):
-        return _stream_partial(ctx, anchor, k, radius, streams[i], counts[i])
+    def job(group: slice):
+        return _stream_partial(ctx, anchor, k, radius, streams[group],
+                               counts[group])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(job, range(STREAM_COUNT)))
+            partials = [p for ps in pool.map(job, groups) for p in ps]
     else:
-        partials = [job(i) for i in range(STREAM_COUNT)]
+        partials = [p for group in groups for p in job(group)]
 
     # combine in stream order with pairwise summation
     s_a = float(np.sum(np.array([p[0] for p in partials])))
@@ -179,10 +199,14 @@ def _run_once(ctx: WeightContext, anchor: np.ndarray, k: int, samples: int,
     s_a2vv = np.sum(np.array([p[4] for p in partials]), axis=0)
     n_pos = int(sum(p[5] for p in partials))
 
-    if n_pos < _MIN_SUPPORT_HITS or s_a <= 0.0:
+    if n_pos < _MIN_SUPPORT_HITS:
         raise DegenerateWeights(
             f"only {n_pos} of {samples} samples hit the weight support "
             f"(k={k}, R={radius}); raise samples or lower k/R")
+    if s_a <= 0.0:
+        raise DegenerateWeights(
+            f"every weight F^k underflowed to 0 although {n_pos} of {samples} "
+            f"samples hit the weight support (k={k}, R={radius}); lower k")
     value = s_av / s_a
     with np.errstate(over="ignore", invalid="ignore"):
         var = (s_a2vv - 2.0 * value * s_a2v + value * value * s_a2) / (s_a * s_a)
@@ -206,7 +230,8 @@ def estimate_tk_unit(K: ConvexPolygon, v, L: ConvexPolygon,
     ConfigError
         If the anchor or the estimate is not finite.
     DegenerateWeights
-        If fewer than 100 samples land on the weight support.
+        If fewer than 100 samples land on the weight support, or every
+        weight underflows to 0.
     """
     c_k, c_l = K.centroid, L.centroid
     anchor = _anchor(v) - c_k

@@ -11,21 +11,26 @@ that no command computes: adaptive-quadrature limits of peaked ratios
 (``truncated_cdf``), polar factors and their fractional powers, the
 Hausdorff distance between convex polygons, Sutherland–Hodgman clipping
 (``sutherland_hodgman_areas``, the library's kernel before Green's theorem),
-which the clip kernel is checked against, and the weight through an
+which the clip kernel is checked against, the weight through an
 ``einsum`` with adj(M) (``adjugate_einsum_weights``, the library's subject
-transform before it took the maps themselves).  Linear group elements are plain
+transform before it took the maps themselves), and one estimator run that
+evaluates every substream as its own batch (``per_stream_run``, the
+library's run before it grouped substreams).  Linear group elements are plain
 2x2 arrays, as in the library; ``rotation``, ``stretch`` and ``inverse``
 build and invert them.
 """
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
-from aipoints import AipointsError, ConvexPolygon, singular_values
+from aipoints import (AipointsError, ConvexPolygon, DegenerateWeights,
+                      evaluate_weights_batch, singular_values)
+from aipoints.estimator import _CHUNK, _MIN_SUPPORT_HITS, STREAM_COUNT
 from aipoints.geometry import AREA_CLAMP, EDGE_EPS, batch_intersection_area
-from aipoints.haar import _decode_cartan, _sample_cartan, truncated_mass
+from aipoints.haar import _decode_cartan, _sample_cartan, _sample_disk, truncated_mass
 
 
 class QuadratureFailure(AipointsError):
@@ -495,3 +500,78 @@ def sutherland_hodgman_areas(subjects: np.ndarray, clip: ConvexPolygon) -> np.nd
     areas = 0.5 * np.abs(contrib.sum(axis=1))
     areas[areas < AREA_CLAMP] = 0.0
     return areas
+
+
+def _one_stream_partial(ctx, anchor: np.ndarray, k: int, radius: float,
+                        seed_seq: np.random.SeedSequence, count: int) -> tuple:
+    """Accumulate one substream's sums for the ratio estimator."""
+    rng = np.random.default_rng(seed_seq)
+    mass = truncated_mass(radius)
+    reach = ctx.R_K + ctx.R_L
+    s_a = 0.0
+    s_av = np.zeros(2)
+    s_a2 = 0.0
+    s_a2v = np.zeros(2)
+    s_a2vv = np.zeros(2)
+    n_pos = 0
+    done = 0
+    # an overflowing anchor gives inf/NaN sums, which _finite refuses; this
+    # runs on pool threads, so the guard must be set here
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < count:
+            m = min(_CHUNK, count - done)
+            th1, t, th2, refl = _sample_cartan(radius, rng, m)
+            mats = _decode_cartan(th1, t, th2, refl)
+            rho = np.exp(t) * reach     # translation_support_radius(ctx, M)
+            xs = rho[:, None] * _sample_disk(rng, m)
+            w = mass * np.pi * rho * rho
+            f = evaluate_weights_batch(ctx, mats, xs)
+            a = w * f ** k
+            phiv = mats @ anchor + xs
+            a2 = a * a
+            s_a += float(a.sum())
+            s_av += a @ phiv
+            s_a2 += float(a2.sum())
+            s_a2v += a2 @ phiv
+            s_a2vv += a2 @ (phiv * phiv)
+            n_pos += int(np.count_nonzero(f))
+            done += m
+    return s_a, s_av, s_a2, s_a2v, s_a2vv, n_pos
+
+
+def per_stream_run(ctx, anchor: np.ndarray, k: int, samples: int,
+                   radius: float, seed_seq: np.random.SeedSequence,
+                   threads: int) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """``estimator._run_once`` with every substream evaluated as its own
+    batch, and the sums combined in stream order."""
+    streams = seed_seq.spawn(STREAM_COUNT)
+    base, extra = divmod(samples, STREAM_COUNT)
+    counts = [base + (1 if i < extra else 0) for i in range(STREAM_COUNT)]
+
+    def job(i: int):
+        return _one_stream_partial(ctx, anchor, k, radius, streams[i], counts[i])
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            partials = list(pool.map(job, range(STREAM_COUNT)))
+    else:
+        partials = [job(i) for i in range(STREAM_COUNT)]
+
+    # combine in stream order with pairwise summation
+    s_a = float(np.sum(np.array([p[0] for p in partials])))
+    s_av = np.sum(np.array([p[1] for p in partials]), axis=0)
+    s_a2 = float(np.sum(np.array([p[2] for p in partials])))
+    s_a2v = np.sum(np.array([p[3] for p in partials]), axis=0)
+    s_a2vv = np.sum(np.array([p[4] for p in partials]), axis=0)
+    n_pos = int(sum(p[5] for p in partials))
+
+    if n_pos < _MIN_SUPPORT_HITS or s_a <= 0.0:
+        raise DegenerateWeights(
+            f"only {n_pos} of {samples} samples hit the weight support "
+            f"(k={k}, R={radius}); raise samples or lower k/R")
+    value = s_av / s_a
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = (s_a2vv - 2.0 * value * s_a2v + value * value * s_a2) / (s_a * s_a)
+    std_error = np.sqrt(np.maximum(var, 0.0))
+    ess = s_a * s_a / s_a2
+    return value, std_error, ess, n_pos

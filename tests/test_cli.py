@@ -132,6 +132,12 @@ def test_point_exit_codes(bodies, tmp_path, capsys):
     code, _, err = _run(capsys, ["point", bodies["square"], "--rule", "tk",
                                  "--samples", "50", "--radius", "4"])
     assert code == 3 and "error:" in err
+    # 2,700 hits, but every F^k underflows in the R-doubling rerun at R=4
+    code, out, err = _run(capsys, ["point", bodies["q0"], "--rule", "tk",
+                                   "--k", "3000", "--samples", "20000",
+                                   "--radius", "2"])
+    assert (code, out) == (3, "")
+    assert "underflowed" in err and "k=3000, R=4.0" in err and "lower k" in err
     code, _, _ = _run(capsys, ["point", bodies["square"], "--rule", "tk",
                                "--base-body", missing])
     assert code == 2
@@ -336,10 +342,17 @@ def test_audit_bad_inputs(tmp_path, capsys, monkeypatch):
     (bdir / "square.json").write_text(json.dumps(SQUARE))
     assert _run(capsys, ["audit", bdir, "--rules", "bogus"])[0] == 4
     for argv in (["--maps", "0"], ["--maps", "-2"], ["--rules", ","],
+                 ["--rules", "centroid,centroid"], ["--rules", "tk, john,tk"],
                  ["--threads", "-3"]):
         code, out, err = _run(capsys, ["audit", bdir, *argv])
         assert (code, out) == (4, ""), argv
         assert "error:" in err
+    # a repeated rule is refused before any estimate runs or any CSV is made
+    written = tmp_path / "twice.csv"
+    code, out, err = _run(capsys, ["audit", bdir, "--rules", "centroid,centroid",
+                                   "--maps", "2", "--out", written])
+    assert (code, out) == (4, "") and "more than once" in err
+    assert not written.exists()
     # an unwritable --out fails before any estimate runs
     calls = []
     monkeypatch.setattr(aipoints.cli, "estimate_tk",

@@ -30,6 +30,7 @@ from aipoints import (
     evaluate_weights_batch,
     normalize_to_unit_area,
     translation_support_radius,
+    weight_context,
 )
 
 import oracles
@@ -299,6 +300,46 @@ def test_thread_count_is_bitwise_invisible(q0u):
         assert runs[0].r_stability == other.r_stability
 
 
+def test_grouped_run_matches_per_stream_run(q0u):
+    # _run_once evaluates consecutive substreams of at most _GROUP rows in
+    # one batch; every sum must keep the bytes of one batch per substream:
+    # one group, several substreams per group, uneven counts, one substream
+    # per group, and substreams longer than _CHUNK
+    body = ConvexPolygon(q0u.vertices - q0u.centroid)
+    ctx, anchor = weight_context(body, body), Q0_ANCHOR - q0u.centroid
+    for samples in (6_000, 40_000, 100_003, 200_000, 16 * 65_536 + 17):
+        ref = oracles.per_stream_run(ctx, anchor, 4, samples, 4.0,
+                                     np.random.SeedSequence(21), 1)
+        for threads in (1, 3):
+            got = aipoints.estimator._run_once(ctx, anchor, 4, samples, 4.0,
+                                               np.random.SeedSequence(21),
+                                               threads)
+            assert np.array_equal(got[0], ref[0]), (samples, threads)
+            assert np.array_equal(got[1], ref[1]), (samples, threads)
+            assert (got[2], got[3]) == (ref[2], ref[3]), (samples, threads)
+    for run in (oracles.per_stream_run, aipoints.estimator._run_once):
+        with pytest.raises(DegenerateWeights):
+            run(ctx, anchor, 4, 10, 4.0, np.random.SeedSequence(21), 1)
+
+
+def test_substreams_share_batches(q0u, monkeypatch):
+    # a short run is one batch; at the default 200,000 samples a substream
+    # of 12,500 rows fills a group alone
+    rows = []
+
+    def spy(ctx, mats, xs):
+        rows.append(len(xs))
+        return evaluate_weights_batch(ctx, mats, xs)
+
+    monkeypatch.setattr(aipoints.estimator, "evaluate_weights_batch", spy)
+    estimate_tk_unit(q0u, Q0_ANCHOR, q0u,
+                     EstimatorConfig(samples=6_000, r_doubling_rounds=0))
+    assert rows == [6_000]
+    rows.clear()
+    estimate_tk_unit(q0u, Q0_ANCHOR, q0u, EstimatorConfig(r_doubling_rounds=0))
+    assert rows == [12_500] * 16
+
+
 def test_seed_reproducibility(q0u):
     cfg = EstimatorConfig(k=4, samples=20_000, R=4.0, seed=13)
     a = estimate_tk_unit(q0u, Q0_ANCHOR, q0u, cfg)
@@ -330,10 +371,15 @@ def test_r_doubling_stability(origin_square):
 
 
 def test_degenerate_weights_raises(q0u):
-    with pytest.raises(DegenerateWeights):
+    with pytest.raises(DegenerateWeights, match="only .* hit the weight support"):
         estimate_tk_unit(q0u, Q0_ANCHOR, q0u,
                          EstimatorConfig(k=4, samples=64, R=4.0,
                                          r_doubling_rounds=0))
+    # enough hits, but every F^k underflows in the R-doubling rerun at R=4
+    with pytest.raises(DegenerateWeights,
+                       match=r"underflowed .*k=3000, R=4\.0\); lower k"):
+        estimate_tk_unit(q0u, Q0_ANCHOR, q0u,
+                         EstimatorConfig(k=3000, samples=20_000, R=2.0))
 
 
 def test_anchor_gate(origin_square, q0u):
