@@ -14,9 +14,11 @@ samples reports the truncation stability.
 
 Sampling is always split over a fixed number of seeded substreams combined in
 stream order, so results are bitwise reproducible for a fixed seed regardless
-of the thread count.  Consecutive substreams of at most _GROUP rows in all
-are evaluated as one batch, each summed over its own slice of it; threads
-consume these groups, so a run of at most _GROUP samples uses one thread.
+of the thread count.  Every batch has at most _BATCH rows: a substream draws
+in pieces of at most _BATCH rows, and consecutive substreams of at most
+_BATCH rows in all are evaluated as one batch, each summed over its own slice
+of it.  Threads consume these groups, so a run of at most _BATCH samples uses
+one thread.
 """
 
 from __future__ import annotations
@@ -52,8 +54,7 @@ DEFAULT_K = 4           # integrability floor used as the default exponent
 # that VolumePreservingAffineMap accepts, so det M keeps the reflection's sign.
 MAX_RADIUS = 1e4
 STREAM_COUNT = 16       # fixed substream split; threads consume groups
-_CHUNK = 65_536
-_GROUP = 16_384         # rows of consecutive substreams evaluated in one batch
+_BATCH = 16_384         # most rows evaluated in one batch
 _MIN_SUPPORT_HITS = 100
 
 SWEEP_CSV_HEADER = ("k", "value_x", "value_y", "se_x", "se_y", "err_to_v")
@@ -122,24 +123,27 @@ def _finite(est: PointEstimate) -> PointEstimate:
 
 def _stream_partial(ctx: WeightContext, anchor: np.ndarray, k: int,
                     radius: float, seed_seqs: list[np.random.SeedSequence],
-                    counts: list[int]) -> list[tuple]:
+                    counts: list[int]) -> np.ndarray:
     """Accumulate the sums of a group of substreams for the ratio estimator.
 
-    Each substream draws from its own generator in pieces of at most _CHUNK
-    rows (Cartan coordinates, then the disk).  The pieces of one round are
-    evaluated as one batch, and each substream's sums are taken over its own
-    slice of it, so they do not depend on how substreams are grouped.
+    Returns one row per substream: sum a, sum a phi(v) (2 columns), sum a^2,
+    sum a^2 phi(v) (2), sum a^2 phi(v)^2 (2) and the hit count, where
+    a = w F^k is the importance weight.  Each substream draws from its own
+    generator in pieces of at most _BATCH rows (Cartan coordinates, then the
+    disk).  The pieces of one round are evaluated as one batch, and each
+    substream's row is summed over its own slice of it, so the rows do not
+    depend on how substreams are grouped.
     """
     rngs = [np.random.default_rng(seq) for seq in seed_seqs]
     mass = truncated_mass(radius)
     reach = ctx.R_K + ctx.R_L
-    sums = [[0.0, np.zeros(2), 0.0, np.zeros(2), np.zeros(2), 0] for _ in counts]
+    sums = np.zeros((len(counts), 9))
     done = 0
     # an overflowing anchor gives inf/NaN sums, which _finite refuses; this
     # runs on pool threads, so the guard must be set here
     with np.errstate(over="ignore", invalid="ignore"):
         while done < max(counts):
-            sizes = [min(_CHUNK, max(count - done, 0)) for count in counts]
+            sizes = [min(_BATCH, max(count - done, 0)) for count in counts]
             draws = [(*_sample_cartan(radius, rng, m), _sample_disk(rng, m))
                      for rng, m in zip(rngs, sizes)]
             th1, t, th2, refl, disk = (_joined(parts) for parts in zip(*draws))
@@ -152,18 +156,13 @@ def _stream_partial(ctx: WeightContext, anchor: np.ndarray, k: int,
             phiv = mats @ anchor + xs
             a2 = a * a
             phiv2 = phiv * phiv
-            lo = 0
-            for acc, m in zip(sums, sizes):
-                part = slice(lo, lo + m)
-                lo += m
-                acc[0] += float(a[part].sum())
-                acc[1] += a[part] @ phiv[part]
-                acc[2] += float(a2[part].sum())
-                acc[3] += a2[part] @ phiv[part]
-                acc[4] += a2[part] @ phiv2[part]
-                acc[5] += int(np.count_nonzero(f[part]))
-            done += _CHUNK
-    return [tuple(acc) for acc in sums]
+            for row, end, m in zip(sums, np.cumsum(sizes), sizes):
+                part = slice(end - m, end)
+                ap, a2p, php = a[part], a2[part], phiv[part]
+                row += (ap.sum(), *(ap @ php), a2p.sum(), *(a2p @ php),
+                        *(a2p @ phiv2[part]), np.count_nonzero(f[part]))
+            done += _BATCH
+    return sums
 
 
 def _joined(parts: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -177,27 +176,22 @@ def _run_once(ctx: WeightContext, anchor: np.ndarray, k: int, samples: int,
     streams = seed_seq.spawn(STREAM_COUNT)
     base, extra = divmod(samples, STREAM_COUNT)
     counts = [base + (1 if i < extra else 0) for i in range(STREAM_COUNT)]
-    # counts[0] is the largest; a substream longer than _GROUP runs alone
-    per_group = max(1, _GROUP // counts[0])
+    # counts[0] is the largest; a substream longer than _BATCH runs alone
+    per_group = max(1, _BATCH // counts[0])
     groups = [slice(i, i + per_group) for i in range(0, STREAM_COUNT, per_group)]
 
-    def job(group: slice):
+    def job(group: slice) -> np.ndarray:
         return _stream_partial(ctx, anchor, k, radius, streams[group],
                                counts[group])
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = [p for ps in pool.map(job, groups) for p in ps]
-    else:
-        partials = [p for group in groups for p in job(group)]
-
-    # combine in stream order with pairwise summation
-    s_a = float(np.sum(np.array([p[0] for p in partials])))
-    s_av = np.sum(np.array([p[1] for p in partials]), axis=0)
-    s_a2 = float(np.sum(np.array([p[2] for p in partials])))
-    s_a2v = np.sum(np.array([p[3] for p in partials]), axis=0)
-    s_a2vv = np.sum(np.array([p[4] for p in partials]), axis=0)
-    n_pos = int(sum(p[5] for p in partials))
+    # the pool starts a thread only on its first submit
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        sums = np.concatenate(list((pool.map if threads > 1 else map)(job, groups)))
+    # combine in stream order: numpy sums one column pairwise and a pair of
+    # columns one substream after another
+    s_a, s_a2, n_pos = (float(np.sum(sums[:, j])) for j in (0, 3, 8))
+    s_av, s_a2v, s_a2vv = (np.sum(sums[:, j:j + 2], axis=0) for j in (1, 4, 6))
+    n_pos = int(n_pos)
 
     if n_pos < _MIN_SUPPORT_HITS:
         raise DegenerateWeights(
@@ -237,21 +231,13 @@ def estimate_tk_unit(K: ConvexPolygon, v, L: ConvexPolygon,
     anchor = _anchor(v) - c_k
     ctx = weight_context(ConvexPolygon(K.vertices - c_k),
                          ConvexPolygon(L.vertices - c_l))
-    root = np.random.SeedSequence(cfg.seed)
-    run_seeds = root.spawn(cfg.r_doubling_rounds + 1)
-    values = []
-    first = None
-    for i in range(cfg.r_doubling_rounds + 1):
-        out = _run_once(ctx, anchor, cfg.k, cfg.samples, cfg.R * (2.0 ** i),
-                        run_seeds[i], threads)
-        values.append(out[0])
-        if i == 0:
-            first = out
-    r_stability = 0.0
+    run_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.r_doubling_rounds + 1)
+    runs = [_run_once(ctx, anchor, cfg.k, cfg.samples, cfg.R * (2.0 ** i),
+                      seed, threads) for i, seed in enumerate(run_seeds)]
     with np.errstate(over="ignore", invalid="ignore"):
-        for prev, cur in zip(values, values[1:]):
-            r_stability = max(r_stability, float(np.linalg.norm(cur - prev)))
-    value, std_error, ess, _ = first
+        r_stability = max([0.0, *(float(np.linalg.norm(cur[0] - prev[0]))
+                                  for prev, cur in zip(runs, runs[1:]))])
+    value, std_error, ess, _ = runs[0]
     return _finite(PointEstimate(value=value + c_l, std_error=std_error,
                                  ess=float(ess), r_stability=r_stability))
 
@@ -287,6 +273,9 @@ def convergence_sweep(K: ConvexPolygon, v, ks, cfg: EstimatorConfig,
     if len(ks) == 0:
         raise ConfigError("the sweep needs at least one k")
     cfgs = [replace(cfg, k=k) for k in ks]  # every k is checked before any estimate
+    named = [int(row_cfg.k) for row_cfg in cfgs]
+    if len(set(named)) < len(named):
+        raise ConfigError(f"the sweep names a k more than once: {named}")
     anchor = _anchor(v)
     if check_anchor:
         unit, scale = normalize_to_unit_area(K)

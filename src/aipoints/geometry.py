@@ -155,7 +155,10 @@ def batch_intersection_area(subjects: np.ndarray, clip: ConvexPolygon) -> np.nda
     ----------
     subjects : (n, m, 2) array
         Vertex lists of n convex polygons (either orientation; affine images
-        of a canonical polygon are fine).
+        of a canonical polygon are fine).  Any memory layout gives the same
+        bytes; the fast one is the view ``planes.transpose(2, 1, 0)`` of x
+        and y coordinate planes ``planes`` of shape (2, m, n), whose planes
+        the prefilter reads without a copy.
     clip : ConvexPolygon
         Fixed convex clipping region.
 
@@ -180,15 +183,14 @@ def _separated(subjects: np.ndarray, clip: ConvexPolygon) -> np.ndarray:
 
     The gap grows as 1 / (shortest clip edge) below unit edge length, so it
     stays at least 1000x the distance band that ``EDGE_EPS`` gives the
-    kernel on every clip edge.  The loop runs over clip edges on (m, n)
-    arrays and reads no subject orientation.
+    kernel on every clip edge.  The loop runs over clip edges on the (m, n)
+    coordinate planes, read as views, and reads no subject orientation.
     """
     q = clip.vertices
     edges = np.roll(q, -1, axis=0) - q
     lengths = np.hypot(edges[:, 0], edges[:, 1])
     gap = SEP_GAP / min(1.0, float(lengths.min()))
-    sx = subjects[:, :, 0].T.copy()
-    sy = subjects[:, :, 1].T.copy()
+    sx, sy = subjects.transpose(2, 1, 0)
     sep = np.zeros(subjects.shape[0], dtype=bool)
     for (qx, qy), (dx, dy), length in zip(q, edges, lengths):
         reach = (dx * sy - dy * sx).max(axis=0)

@@ -50,12 +50,12 @@ def _decode_cartan(theta1, t, theta2, reflect):
     c1, s1 = np.cos(theta1), np.sin(theta1)
     c2, s2 = np.cos(theta2), np.sin(theta2)
     et, em = np.exp(t), np.exp(-t)
+    flip = np.where(reflect, -1.0, 1.0)     # diag(1, -1) on the right
     m = np.empty(t.shape + (2, 2))
     m[..., 0, 0] = c1 * c2 * et - s1 * s2 * em
-    m[..., 0, 1] = -c1 * s2 * et - s1 * c2 * em
+    m[..., 0, 1] = flip * (-c1 * s2 * et - s1 * c2 * em)
     m[..., 1, 0] = s1 * c2 * et + c1 * s2 * em
-    m[..., 1, 1] = -s1 * s2 * et + c1 * c2 * em
-    m[..., :, 1] = np.where(reflect[..., None], -m[..., :, 1], m[..., :, 1])
+    m[..., 1, 1] = flip * (-s1 * s2 * et + c1 * c2 * em)
     return m
 
 

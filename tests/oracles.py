@@ -28,7 +28,7 @@ from scipy.spatial import cKDTree
 
 from aipoints import (AipointsError, ConvexPolygon, DegenerateWeights,
                       evaluate_weights_batch, singular_values)
-from aipoints.estimator import _CHUNK, _MIN_SUPPORT_HITS, STREAM_COUNT
+from aipoints.estimator import _BATCH, _MIN_SUPPORT_HITS, STREAM_COUNT
 from aipoints.geometry import AREA_CLAMP, EDGE_EPS, batch_intersection_area
 from aipoints.haar import _decode_cartan, _sample_cartan, _sample_disk, truncated_mass
 
@@ -439,6 +439,9 @@ def sutherland_hodgman_areas(subjects: np.ndarray, clip: ConvexPolygon) -> np.nd
 
     Half-plane clipping of a convex subject against each clip edge; each pass
     adds at most one vertex, so padded buffers of width m + E + 4 suffice.
+    A vertex within ``EDGE_EPS`` of a clip edge's line lies on it and is
+    kept, as the library's tie rule has it, so a subject touching a clip
+    edge from outside inside that band clips to area 0.
     """
     subjects = np.asarray(subjects, dtype=float)
     n, m, _ = subjects.shape
@@ -458,12 +461,13 @@ def sutherland_hodgman_areas(subjects: np.ndarray, clip: ConvexPolygon) -> np.nd
         valid = jj < counts[:, None]
         # signed: positive on the inside (left of the CCW clip edge)
         d = dx * (ys - qy) - dy * (xs - qx)
-        inside = d >= -EDGE_EPS
+        d[np.abs(d) <= EDGE_EPS] = 0.0
+        inside = d >= 0.0
         prev_j = (jj - 1) % safe
         px = np.take_along_axis(xs, prev_j, axis=1)
         py = np.take_along_axis(ys, prev_j, axis=1)
         dprev = np.take_along_axis(d, prev_j, axis=1)
-        inside_prev = dprev >= -EDGE_EPS
+        inside_prev = dprev >= 0.0
 
         emit_cross = valid & (inside != inside_prev)
         emit_cur = valid & inside
@@ -519,7 +523,7 @@ def _one_stream_partial(ctx, anchor: np.ndarray, k: int, radius: float,
     # runs on pool threads, so the guard must be set here
     with np.errstate(over="ignore", invalid="ignore"):
         while done < count:
-            m = min(_CHUNK, count - done)
+            m = min(_BATCH, count - done)
             th1, t, th2, refl = _sample_cartan(radius, rng, m)
             mats = _decode_cartan(th1, t, th2, refl)
             rho = np.exp(t) * reach     # translation_support_radius(ctx, M)

@@ -246,6 +246,16 @@ def test_converge_anchor_gate(bodies, tmp_path, capsys):
         assert code == expect, (side, offset)
 
 
+def test_converge_repeated_k(bodies, tmp_path, capsys):
+    # a repeated k is refused before any estimate runs or any CSV is made
+    out_csv = tmp_path / "dup.csv"
+    code, out, err = _run(capsys, ["converge", bodies["q0"], "--anchor",
+                                   "0.55,0.45", "--ks", "2,2,8", "--samples",
+                                   "20000", "--radius", "2", "--out", out_csv])
+    assert (code, out) == (4, "") and "more than once" in err
+    assert not out_csv.exists()
+
+
 def test_converge_rows_match_library_sweep(bodies, tmp_path, capsys):
     # The CLI owns the row order and the CSV format; the library owns the
     # unit-area frame.  The k -> infinity limit is criterion 07's business.

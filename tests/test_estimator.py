@@ -91,6 +91,11 @@ def test_config_validation(q0u, monkeypatch):
     for ks in ([2.5], [True], [16, 16, 16, 0]):
         with pytest.raises(ConfigError, match="k must be"):
             convergence_sweep(q0u, q0u.centroid, ks, small, check_anchor=False)
+    # ... and that no k repeats: [2, 2, 8] ran k = 2 twice and gave its row twice
+    for ks in ([2, 2, 8], [8, 2, np.int64(8)]):
+        for check in (True, False):
+            with pytest.raises(ConfigError, match="more than once"):
+                convergence_sweep(q0u, Q0_ANCHOR, ks, small, check_anchor=check)
     assert calls == []
     # a run may not reach past MAX_RADIUS with its R-doublings: R = 1e160
     # used to give NaN value, std_error and ess from an overflowing cosh
@@ -301,10 +306,10 @@ def test_thread_count_is_bitwise_invisible(q0u):
 
 
 def test_grouped_run_matches_per_stream_run(q0u):
-    # _run_once evaluates consecutive substreams of at most _GROUP rows in
+    # _run_once evaluates consecutive substreams of at most _BATCH rows in
     # one batch; every sum must keep the bytes of one batch per substream:
     # one group, several substreams per group, uneven counts, one substream
-    # per group, and substreams longer than _CHUNK
+    # per group, and substreams longer than _BATCH
     body = ConvexPolygon(q0u.vertices - q0u.centroid)
     ctx, anchor = weight_context(body, body), Q0_ANCHOR - q0u.centroid
     for samples in (6_000, 40_000, 100_003, 200_000, 16 * 65_536 + 17):
@@ -324,7 +329,8 @@ def test_grouped_run_matches_per_stream_run(q0u):
 
 def test_substreams_share_batches(q0u, monkeypatch):
     # a short run is one batch; at the default 200,000 samples a substream
-    # of 12,500 rows fills a group alone
+    # of 12,500 rows fills a group alone; at 300,000 a substream of 18,750
+    # rows draws in pieces of at most _BATCH = 16,384
     rows = []
 
     def spy(ctx, mats, xs):
@@ -338,6 +344,10 @@ def test_substreams_share_batches(q0u, monkeypatch):
     rows.clear()
     estimate_tk_unit(q0u, Q0_ANCHOR, q0u, EstimatorConfig(r_doubling_rounds=0))
     assert rows == [12_500] * 16
+    rows.clear()
+    estimate_tk_unit(q0u, Q0_ANCHOR, q0u,
+                     EstimatorConfig(samples=300_000, r_doubling_rounds=0))
+    assert rows == [16_384, 2_366] * 16
 
 
 def test_seed_reproducibility(q0u):

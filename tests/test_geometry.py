@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import fields
 
@@ -358,21 +359,69 @@ def test_prefilter_matches_kernel_on_contacts(m, clip, rows):
     assert not flagged[gaps <= 0.0].any()
 
 
-def test_kernel_ties_parallel_edge_just_outside():
-    # a regular hexagon whose top edge runs parallel to unit Q0's bottom
-    # edge, inside the EDGE_EPS band below it: the tied, anti-parallel edges
-    # count 0, so the area is exactly 0.0 with and without the prefilter
-    ang = np.pi / 3 * np.arange(6)
-    hexagon = 0.3 * np.stack([np.cos(ang), np.sin(ang)], 1)
-    top = hexagon[:, 1].max()
-    mid = 0.5 * (Q0_UNIT.vertices[0] + Q0_UNIT.vertices[1])
+def _just_below_q0(shape, gaps):
+    """One copy of ``shape`` per gap, under the midpoint of unit Q0's
+    bottom edge, with its top edge parallel to it and that gap below it;
+    counterclockwise, then clockwise."""
     assert Q0_UNIT.vertices[0, 1] == Q0_UNIT.vertices[1, 1] == 0.0
-    subjects = np.array([hexagon + [mid[0], -gap - top]
-                         for gap in (1e-13, 5.7e-13, 9e-13)])
-    subjects = np.concatenate([subjects, subjects[:, ::-1]])  # and clockwise
+    mid = 0.5 * (Q0_UNIT.vertices[0] + Q0_UNIT.vertices[1])
+    top = shape[:, 1].max()
+    subjects = np.array([shape + [mid[0], -gap - top] for gap in gaps])
+    subjects = np.concatenate([subjects, subjects[:, ::-1]])
     assert np.all(subjects[:, :, 1].max(axis=1) < 0.0)
+    return subjects
+
+
+_HEXAGON = 0.3 * np.stack([np.cos(np.pi / 3 * np.arange(6)),
+                           np.sin(np.pi / 3 * np.arange(6))], 1)
+
+
+def test_kernel_ties_parallel_edge_just_outside():
+    # a regular hexagon inside the EDGE_EPS band below unit Q0's bottom
+    # edge: the tied, anti-parallel edges count 0, so the area is exactly
+    # 0.0 with and without the prefilter
+    subjects = _just_below_q0(_HEXAGON, (1e-13, 5.7e-13, 9e-13))
     assert np.array_equal(batch_intersection_area(subjects, Q0_UNIT), np.zeros(6))
     assert np.array_equal(_clip_areas(subjects, Q0_UNIT), np.zeros(6))
+
+
+def test_reference_ties_edges_inside_the_band():
+    # the Sutherland–Hodgman reference keeps the kernel's tie rule: a flat
+    # strip as wide as unit Q0's bottom edge and the hexagons above touch
+    # that edge from outside, inside the EDGE_EPS band, so both read 0.0
+    half = 0.5 * Q0_UNIT.vertices[1, 0]
+    strip = np.array([[-half, -0.1], [half, -0.1], [half, 0.0], [-half, 0.0]])
+    for subjects in (_just_below_q0(strip, (9.9e-13,)),
+                     _just_below_q0(_HEXAGON, (1e-13, 5.7e-13, 9e-13))):
+        zeros = np.zeros(len(subjects))
+        assert np.array_equal(oracles.sutherland_hodgman_areas(subjects, Q0_UNIT),
+                              zeros)
+        assert np.array_equal(_clip_areas(subjects, Q0_UNIT), zeros)
+
+
+def test_kernel_reads_any_subject_layout():
+    # the weight hands the kernel (2, m, n) coordinate planes viewed as
+    # (n, m, 2); each result must keep the bytes it has for a C-contiguous
+    # array.  The rows touch, overlap or miss the clip; reflected rows run
+    # clockwise, and rows pushed 1e-3 out along a clip edge normal are flagged
+    rng = np.random.default_rng(5)
+    for clip, m in itertools.product((Q0_UNIT, GON64), (3, 8, 12)):
+        rows = [{"jitter": rng.uniform(0.0, 0.8, m),
+                 "log_lam1": rng.uniform(0.0, np.log(32.0)),
+                 "th1": rng.uniform(0.0, 2 * np.pi),
+                 "th2": rng.uniform(0.0, 2 * np.pi),
+                 "reflect": reflect, "clip_side": clip_side,
+                 "edge": int(rng.integers(64)), "u": rng.random(), "gap": gap}
+                for reflect, clip_side, gap in itertools.product(
+                    (False, True), (False, True), (0.0, 1e-3, -1e-3, 1e-13))]
+        subjects = np.array([_contact_subject(row, m, clip) for row in rows])
+        view = np.ascontiguousarray(subjects.transpose(2, 1, 0)).transpose(2, 1, 0)
+        assert np.array_equal(view, subjects) and not view.flags.c_contiguous
+        flagged = _separated(subjects, clip)
+        areas = _clip_areas(subjects, clip)
+        assert flagged.any() and (areas > 0.0).any() and (areas[~flagged] == 0.0).any()
+        for kernel in (batch_intersection_area, _separated, _clip_areas):
+            assert kernel(view, clip).tobytes() == kernel(subjects, clip).tobytes()
 
 
 def test_prefilter_leaves_estimate_bitwise_unchanged(monkeypatch):
