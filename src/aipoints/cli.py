@@ -161,6 +161,7 @@ def _write_csv(lines: list[str], out: Path | None) -> None:
 
 def cmd_point(args) -> int:
     body = load_polygon(args.body)
+    cfg = _config_from_args(args)   # a bad flag fails for every rule
     if args.rule in _POINT_RULES:
         value = _POINT_RULES[args.rule][0](body)
         manifest = _manifest("point", {"body": args.body},
@@ -173,7 +174,6 @@ def cmd_point(args) -> int:
     base_path = args.base_body if args.base_body is not None else args.body
     base = load_polygon(base_path)
     anchor = args.anchor if args.anchor is not None else np.array(base.centroid)
-    cfg = _config_from_args(args)
     est = estimate_tk(base, anchor, body, cfg, threads=args.threads)
     record = estimate_record(est, cfg)
     manifest = _manifest("point", {"body": args.body, "base_body": base_path},

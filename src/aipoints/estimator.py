@@ -8,17 +8,17 @@ centroid(L); translating the inputs then shifts the estimate by round-off
 only (shared seeds).  Proposal: M from the truncated Haar sampler, x uniform
 on the disk about 0 of radius translation_support_radius(ctx, M), which
 covers the translation support of the weight.  Weights are the constant Haar
-mass times the disk mass, the estimator is the weighted ratio, standard
-errors come from the delta method, and one R-doubling rerun with fresh
-samples reports the truncation stability.
+mass times the disk mass.  phi(v) = M v + x is linear in z = (M, x, 1), so
+the sampling loop sums moments of z over the hits, and the ratio, its
+delta-method standard errors and the ESS are read out of them once per run
+for the anchor.  One R-doubling rerun with fresh samples reports the
+truncation stability.
 
-Sampling is always split over a fixed number of seeded substreams combined in
-stream order, so results are bitwise reproducible for a fixed seed regardless
-of the thread count.  Every batch has at most _BATCH rows: a substream draws
-in pieces of at most _BATCH rows, and consecutive substreams of at most
-_BATCH rows in all are evaluated as one batch, each summed over its own slice
-of it.  Threads consume these groups, so a run of at most _BATCH samples uses
-one thread.
+Sampling is split over a fixed number of seeded substreams combined in stream
+order, so results are bitwise the same for a fixed seed at any thread count.
+A batch has at most _BATCH rows: a longer substream draws in pieces, and
+consecutive substreams of at most _BATCH rows in all share one batch.  Threads
+consume these groups, so a run of at most _BATCH samples uses one thread.
 """
 
 from __future__ import annotations
@@ -121,47 +121,43 @@ def _finite(est: PointEstimate) -> PointEstimate:
     return est
 
 
-def _stream_partial(ctx: WeightContext, anchor: np.ndarray, k: int,
-                    radius: float, seed_seqs: list[np.random.SeedSequence],
+def _stream_partial(ctx: WeightContext, k: int, radius: float,
+                    seed_seqs: list[np.random.SeedSequence],
                     counts: list[int]) -> np.ndarray:
-    """Accumulate the sums of a group of substreams for the ratio estimator.
+    """Moments of the maps (M, x) of a group of substreams, one row each.
 
-    Returns one row per substream: sum a, sum a phi(v) (2 columns), sum a^2,
-    sum a^2 phi(v) (2), sum a^2 phi(v)^2 (2) and the hit count, where
-    a = w F^k is the importance weight.  Each substream draws from its own
-    generator in pieces of at most _BATCH rows (Cartan coordinates, then the
-    disk).  The pieces of one round are evaluated as one batch, and each
-    substream's row is summed over its own slice of it, so the rows do not
-    depend on how substreams are grouped.
+    A row holds sum a z (7 columns), sum a^2 z z^T (49, row-major) and the
+    hit count, where a = w F^k is the importance weight and z = (M11, M12,
+    M21, M22, x1, x2, 1); phi(v) = M v + x is linear in z, so a row serves
+    every anchor.  Only hits (F > 0) are summed: a miss has a = 0, and most
+    draws miss.  Each substream draws from its own generator in pieces of at
+    most _BATCH rows (Cartan coordinates, then the disk).  The pieces of one
+    round are evaluated as one batch and each row is summed over its own
+    substream's slice, so the rows do not depend on the grouping.
     """
     rngs = [np.random.default_rng(seq) for seq in seed_seqs]
     mass = truncated_mass(radius)
     reach = ctx.R_K + ctx.R_L
-    sums = np.zeros((len(counts), 9))
+    sums = np.zeros((len(counts), 57))
     done = 0
-    # an overflowing anchor gives inf/NaN sums, which _finite refuses; this
-    # runs on pool threads, so the guard must be set here
-    with np.errstate(over="ignore", invalid="ignore"):
-        while done < max(counts):
-            sizes = [min(_BATCH, max(count - done, 0)) for count in counts]
-            draws = [(*_sample_cartan(radius, rng, m), _sample_disk(rng, m))
-                     for rng, m in zip(rngs, sizes)]
-            th1, t, th2, refl, disk = (_joined(parts) for parts in zip(*draws))
-            mats = _decode_cartan(th1, t, th2, refl)
-            rho = np.exp(t) * reach     # translation_support_radius(ctx, M)
-            xs = rho[:, None] * disk
-            w = mass * np.pi * rho * rho
-            f = evaluate_weights_batch(ctx, mats, xs)
-            a = w * f ** k
-            phiv = mats @ anchor + xs
-            a2 = a * a
-            phiv2 = phiv * phiv
-            for row, end, m in zip(sums, np.cumsum(sizes), sizes):
-                part = slice(end - m, end)
-                ap, a2p, php = a[part], a2[part], phiv[part]
-                row += (ap.sum(), *(ap @ php), a2p.sum(), *(a2p @ php),
-                        *(a2p @ phiv2[part]), np.count_nonzero(f[part]))
-            done += _BATCH
+    while done < max(counts):
+        sizes = [min(_BATCH, max(count - done, 0)) for count in counts]
+        draws = [(*_sample_cartan(radius, rng, m), _sample_disk(rng, m))
+                 for rng, m in zip(rngs, sizes)]
+        th1, t, th2, refl, disk = (_joined(parts) for parts in zip(*draws))
+        mats = _decode_cartan(th1, t, th2, refl)
+        rho = np.exp(t) * reach     # translation_support_radius(ctx, M)
+        xs = rho[:, None] * disk
+        f = evaluate_weights_batch(ctx, mats, xs)
+        hit = np.flatnonzero(f)
+        z = np.column_stack([mats[hit].reshape(-1, 4), xs[hit], np.ones(len(hit))])
+        a = mass * np.pi * rho[hit] * rho[hit] * f[hit] ** k
+        az = a[:, None] * z
+        ends = np.searchsorted(hit, np.cumsum(sizes))
+        for row, lo, hi in zip(sums, [0, *ends[:-1]], ends):
+            row += (*(a[lo:hi] @ z[lo:hi]), *(az[lo:hi].T @ az[lo:hi]).ravel(),
+                    hi - lo)
+        done += _BATCH
     return sums
 
 
@@ -181,17 +177,14 @@ def _run_once(ctx: WeightContext, anchor: np.ndarray, k: int, samples: int,
     groups = [slice(i, i + per_group) for i in range(0, STREAM_COUNT, per_group)]
 
     def job(group: slice) -> np.ndarray:
-        return _stream_partial(ctx, anchor, k, radius, streams[group],
-                               counts[group])
+        return _stream_partial(ctx, k, radius, streams[group], counts[group])
 
     # the pool starts a thread only on its first submit
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        sums = np.concatenate(list((pool.map if threads > 1 else map)(job, groups)))
-    # combine in stream order: numpy sums one column pairwise and a pair of
-    # columns one substream after another
-    s_a, s_a2, n_pos = (float(np.sum(sums[:, j])) for j in (0, 3, 8))
-    s_av, s_a2v, s_a2vv = (np.sum(sums[:, j:j + 2], axis=0) for j in (1, 4, 6))
-    n_pos = int(n_pos)
+        rows = np.concatenate(list((pool.map if threads > 1 else map)(job, groups)))
+    totals = rows.sum(axis=0)       # in stream order, one row after another
+    s_az, s_a2zz, n_pos = totals[:7], totals[7:56].reshape(7, 7), int(totals[56])
+    s_a = float(s_az[6])
 
     if n_pos < _MIN_SUPPORT_HITS:
         raise DegenerateWeights(
@@ -201,11 +194,15 @@ def _run_once(ctx: WeightContext, anchor: np.ndarray, k: int, samples: int,
         raise DegenerateWeights(
             f"every weight F^k underflowed to 0 although {n_pos} of {samples} "
             f"samples hit the weight support (k={k}, R={radius}); lower k")
-    value = s_av / s_a
+    # phi(v) = P z, then Q z = phi(v) - value; an overflowing anchor gives
+    # inf/NaN, which _finite refuses
+    proj = np.array([[*anchor, 0, 0, 1, 0, 0], [0, 0, *anchor, 0, 1, 0]], float)
     with np.errstate(over="ignore", invalid="ignore"):
-        var = (s_a2vv - 2.0 * value * s_a2v + value * value * s_a2) / (s_a * s_a)
+        value = proj @ s_az / s_a
+        proj[:, 6] = -value
+        var = ((proj @ s_a2zz) * proj).sum(axis=1) / (s_a * s_a)
     std_error = np.sqrt(np.maximum(var, 0.0))
-    ess = s_a * s_a / s_a2
+    ess = s_a * s_a / s_a2zz[6, 6]
     return value, std_error, ess, n_pos
 
 

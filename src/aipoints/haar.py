@@ -50,12 +50,14 @@ def _decode_cartan(theta1, t, theta2, reflect):
     c1, s1 = np.cos(theta1), np.sin(theta1)
     c2, s2 = np.cos(theta2), np.sin(theta2)
     et, em = np.exp(t), np.exp(-t)
+    # R(theta1) diag(e^t, e^-t) = [[c1 e^t, -s1 e^-t], [s1 e^t, c1 e^-t]]
+    c1et, s1et, s1em, c1em = c1 * et, s1 * et, s1 * em, c1 * em
     flip = np.where(reflect, -1.0, 1.0)     # diag(1, -1) on the right
     m = np.empty(t.shape + (2, 2))
-    m[..., 0, 0] = c1 * c2 * et - s1 * s2 * em
-    m[..., 0, 1] = flip * (-c1 * s2 * et - s1 * c2 * em)
-    m[..., 1, 0] = s1 * c2 * et + c1 * s2 * em
-    m[..., 1, 1] = flip * (-s1 * s2 * et + c1 * c2 * em)
+    m[..., 0, 0] = c1et * c2 - s1em * s2
+    m[..., 0, 1] = flip * (-c1et * s2 - s1em * c2)
+    m[..., 1, 0] = s1et * c2 + c1em * s2
+    m[..., 1, 1] = flip * (c1em * c2 - s1et * s2)
     return m
 
 

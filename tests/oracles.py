@@ -14,8 +14,9 @@ Hausdorff distance between convex polygons, Sutherland–Hodgman clipping
 which the clip kernel is checked against, the weight through an
 ``einsum`` with adj(M) (``adjugate_einsum_weights``, the library's subject
 transform before it took the maps themselves), and one estimator run that
-evaluates every substream as its own batch (``per_stream_run``, the
-library's run before it grouped substreams).  Linear group elements are plain
+sums a phi(v) for its anchor and evaluates every substream as its own batch
+(``per_stream_run``, the library's run before it grouped substreams and
+summed moments of (M, x) instead).  Linear group elements are plain
 2x2 arrays, as in the library; ``rotation``, ``stretch`` and ``inverse``
 build and invert them.
 """

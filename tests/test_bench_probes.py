@@ -75,3 +75,25 @@ def test_estimate_probe_sees_what_the_workloads_read(tmp_path, monkeypatch):
         q0, np.array(workloads.SWEEP_ANCHOR), list(workloads.SWEEP_KS), cfg,
         check_anchor=False)
     assert len(workloads.SWEEP_KS) == len(rows) == len(seen) == 3
+
+
+def test_run_once_probe_reads_samples_and_hits():
+    # bench/worker.py sums the probe's "samples" into draws_per_s, so a
+    # _run_once whose arguments or result moved must fail here, not read 0
+    tracing, workloads = _load("tracing"), _load("workloads")
+    q0, _ = aipoints.normalize_to_unit_area(
+        aipoints.canonicalize(workloads.Q0_VERTICES))
+    cfg = aipoints.estimator.EstimatorConfig(samples=workloads.AUDIT_SAMPLES,
+                                             R=workloads.AUDIT_RADIUS,
+                                             r_doubling_rounds=1)
+    tracer = tracing.Tracer()
+    with tracing.Patched(tracer, tracing.PROBES) as patched:
+        aipoints.estimator.estimate_tk_unit(q0, q0.centroid, q0, cfg)
+    assert patched.absent == []
+    infos = [span[tracing.INFO] for span in tracer.spans
+             if span[tracing.NAME] == "aipoints.estimator._run_once"]
+    assert len(infos) == 2
+    for info in infos:
+        assert info["samples"] == cfg.samples
+        assert 0 < info["hits"] <= cfg.samples
+    assert not tracer.info_errors

@@ -155,6 +155,15 @@ def test_point_exit_codes(bodies, tmp_path, capsys):
     code, out, err = _run(capsys, ["point", bodies["square"], "--rule", "tk",
                                    "--seed", "-1"])
     assert (code, out) == (4, "") and "seed" in err
+    # the estimator flags are checked for the exact rules too
+    for flags in (["--samples", "0"], ["--k", "-3", "--radius", "0.5"]):
+        for rule in ("centroid", "john"):
+            code, out, err = _run(capsys, ["point", bodies["q0"], "--rule",
+                                           rule, *flags])
+            assert (code, out) == (4, "") and "error:" in err, (rule, flags)
+            code, out, _ = _run(capsys, ["point", bad, "--rule", rule,
+                                         *flags])
+            assert (code, out) == (2, ""), (rule, flags)
     # an unwritable --out fails before the sweep, which would exit 3 here
     lost = tmp_path / "no_dir" / "x.csv"
     code, out, err = _run(capsys, ["converge", bodies["square"], "--anchor",

@@ -306,10 +306,11 @@ def test_thread_count_is_bitwise_invisible(q0u):
 
 
 def test_grouped_run_matches_per_stream_run(q0u):
-    # _run_once evaluates consecutive substreams of at most _BATCH rows in
-    # one batch; every sum must keep the bytes of one batch per substream:
-    # one group, several substreams per group, uneven counts, one substream
-    # per group, and substreams longer than _BATCH
+    # _run_once reads value, std_error and ess out of moments of (M, x)
+    # summed over hit rows, in groups of substreams; they must agree with the
+    # per-anchor sums of one batch per substream up to reassociation: one
+    # group, several substreams per group, uneven counts, one substream per
+    # group, and substreams longer than _BATCH
     body = ConvexPolygon(q0u.vertices - q0u.centroid)
     ctx, anchor = weight_context(body, body), Q0_ANCHOR - q0u.centroid
     for samples in (6_000, 40_000, 100_003, 200_000, 16 * 65_536 + 17):
@@ -319,12 +320,27 @@ def test_grouped_run_matches_per_stream_run(q0u):
             got = aipoints.estimator._run_once(ctx, anchor, 4, samples, 4.0,
                                                np.random.SeedSequence(21),
                                                threads)
-            assert np.array_equal(got[0], ref[0]), (samples, threads)
-            assert np.array_equal(got[1], ref[1]), (samples, threads)
-            assert (got[2], got[3]) == (ref[2], ref[3]), (samples, threads)
+            for g, r in zip(got[:3], ref[:3]):
+                assert np.allclose(g, r, rtol=1e-12, atol=0), (samples, threads)
+            assert got[3] == ref[3], (samples, threads)
     for run in (oracles.per_stream_run, aipoints.estimator._run_once):
         with pytest.raises(DegenerateWeights):
             run(ctx, anchor, 4, 10, 4.0, np.random.SeedSequence(21), 1)
+
+
+def test_grouping_keeps_moment_rows_bitwise(q0u):
+    # a substream's row of moments has the same bytes whether it is summed
+    # alone or over its slice of a group's batch: uneven counts, and one
+    # substream longer than _BATCH that draws a second piece alone
+    body = ConvexPolygon(q0u.vertices - q0u.centroid)
+    ctx = weight_context(body, body)
+    streams = np.random.SeedSequence(5).spawn(5)
+    counts = [2_000, 1_999, 1_999, 1_998, aipoints.estimator._BATCH + 3_000]
+    grouped = aipoints.estimator._stream_partial(ctx, 4, 4.0, streams, counts)
+    assert grouped.shape == (5, 57) and (grouped[:, 56] > 0).all()
+    for row, seq, count in zip(grouped, streams, counts):
+        alone = aipoints.estimator._stream_partial(ctx, 4, 4.0, [seq], [count])
+        assert alone.tobytes() == row.tobytes()
 
 
 def test_substreams_share_batches(q0u, monkeypatch):
