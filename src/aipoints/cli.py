@@ -163,6 +163,11 @@ def cmd_point(args) -> int:
     body = load_polygon(args.body)
     cfg = _config_from_args(args)   # a bad flag fails for every rule
     if args.rule in _POINT_RULES:
+        for flag, given in (("--anchor", args.anchor),
+                            ("--base-body", args.base_body)):
+            if given is not None:
+                raise ConfigError(f"{flag} applies only to --rule tk, "
+                                  f"not {args.rule}")
         value = _POINT_RULES[args.rule][0](body)
         manifest = _manifest("point", {"body": args.body},
                              {"rule": args.rule})

@@ -70,8 +70,13 @@ def sample_sl2pm(radius: float, rng: np.random.Generator) -> np.ndarray:
     return _decode_cartan(*_sample_cartan(radius, rng, 1))[0]
 
 
-def _sample_disk(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform draws from the unit disk; call order (radius, angle) is fixed."""
+def _sample_disk(rng: np.random.Generator,
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform draws from the unit disk in polar form: (r, angle) arrays,
+    the point being (r cos(angle), r sin(angle)).  Call order (radius,
+    angle) is fixed.  Polar draws let the estimator test a draw against the
+    weight's support with one cos/sin pair and form x only for the draws
+    that pass."""
     r = np.sqrt(rng.random(n))
     ang = rng.random(n) * (2.0 * np.pi)
-    return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
+    return r, ang

@@ -15,8 +15,9 @@ which the clip kernel is checked against, the weight through an
 ``einsum`` with adj(M) (``adjugate_einsum_weights``, the library's subject
 transform before it took the maps themselves), and one estimator run that
 sums a phi(v) for its anchor and evaluates every substream as its own batch
-(``per_stream_run``, the library's run before it grouped substreams and
-summed moments of (M, x) instead).  Linear group elements are plain
+(``per_stream_run``, the library's run before it grouped substreams,
+summed moments of (M, x) instead and skipped the draws whose translation
+cannot reach L; it evaluates every draw).  Linear group elements are plain
 2x2 arrays, as in the library; ``rotation``, ``stretch`` and ``inverse``
 build and invert them.
 """
@@ -509,7 +510,8 @@ def sutherland_hodgman_areas(subjects: np.ndarray, clip: ConvexPolygon) -> np.nd
 
 def _one_stream_partial(ctx, anchor: np.ndarray, k: int, radius: float,
                         seed_seq: np.random.SeedSequence, count: int) -> tuple:
-    """Accumulate one substream's sums for the ratio estimator."""
+    """Accumulate one substream's sums for the ratio estimator, evaluating
+    every draw."""
     rng = np.random.default_rng(seed_seq)
     mass = truncated_mass(radius)
     reach = ctx.R_K + ctx.R_L
@@ -528,7 +530,9 @@ def _one_stream_partial(ctx, anchor: np.ndarray, k: int, radius: float,
             th1, t, th2, refl = _sample_cartan(radius, rng, m)
             mats = _decode_cartan(th1, t, th2, refl)
             rho = np.exp(t) * reach     # translation_support_radius(ctx, M)
-            xs = rho[:, None] * _sample_disk(rng, m)
+            r, ang = _sample_disk(rng, m)
+            xs = rho[:, None] * np.stack([r * np.cos(ang), r * np.sin(ang)],
+                                         axis=-1)
             w = mass * np.pi * rho * rho
             f = evaluate_weights_batch(ctx, mats, xs)
             a = w * f ** k

@@ -164,6 +164,17 @@ def test_point_exit_codes(bodies, tmp_path, capsys):
             code, out, _ = _run(capsys, ["point", bad, "--rule", rule,
                                          *flags])
             assert (code, out) == (2, ""), (rule, flags)
+    # the tk-only flags are refused for the exact rules, before the base
+    # body is read; a bad body still fails first
+    for rule in ("centroid", "john"):
+        for flags in (["--anchor", "9,9"], ["--base-body", missing],
+                      ["--base-body", missing, "--anchor", "9,9"],
+                      ["--base-body", bodies["q0"]]):
+            code, out, err = _run(capsys, ["point", bodies["q0"], "--rule",
+                                           rule, *flags])
+            assert (code, out) == (4, "") and "--rule tk" in err, (rule, flags)
+            code, out, _ = _run(capsys, ["point", bad, "--rule", rule, *flags])
+            assert (code, out) == (2, ""), (rule, flags)
     # an unwritable --out fails before the sweep, which would exit 3 here
     lost = tmp_path / "no_dir" / "x.csv"
     code, out, err = _run(capsys, ["converge", bodies["square"], "--anchor",

@@ -251,17 +251,31 @@ def test_covering_disk_holds_the_weight_support(q0u, monkeypatch):
     # the disk about 0 of radius translation_support_radius(ctx, M) =
     # lam1(M) (max|K - c_K| + max|L - c_L|).  F must vanish outside that
     # disk, for stretched and reflected M alike; the bodies sit far from the
-    # origin, so the spy must see them centred for the disk to hold
+    # origin, so the spy must see them centred for the disk to hold.  Only
+    # the draws that can reach L get to evaluate_weights_batch, so the fill
+    # of the disk and the probes outside it read every draw from spies on
+    # the samplers
     K = canonicalize(q0u.vertices + [40.0, -25.0])
     tri = normalize_to_unit_area(canonicalize([[0, 0], [1, 0], [0, 1]]))[0]
     L = canonicalize(tri.vertices + [-30.0, 55.0])
-    seen = []
+    seen, cartan, polar = [], [], []
 
     def spy(ctx, mats, xs):
         seen.append((ctx, mats.copy(), xs.copy()))
         return evaluate_weights_batch(ctx, mats, xs)
 
+    def recorder(sampler, store):
+        def wrapped(*args):
+            draw = sampler(*args)
+            store.append(draw)
+            return draw
+        return wrapped
+
     monkeypatch.setattr(aipoints.estimator, "evaluate_weights_batch", spy)
+    monkeypatch.setattr(aipoints.estimator, "_sample_cartan",
+                        recorder(_sample_cartan, cartan))
+    monkeypatch.setattr(aipoints.estimator, "_sample_disk",
+                        recorder(aipoints.haar._sample_disk, polar))
     cfg = EstimatorConfig(k=2, samples=20_000, R=8.0, seed=4,
                           r_doubling_rounds=0)
     estimate_tk_unit(K, K.centroid, L, cfg)
@@ -272,21 +286,26 @@ def test_covering_disk_holds_the_weight_support(q0u, monkeypatch):
     assert np.allclose(ctx.L.vertices, L.vertices - L.centroid, atol=1e-12)
     mats = np.concatenate([m for _, m, _ in seen])
     xs = np.concatenate([x for _, _, x in seen])
-    assert len(xs) == cfg.samples
+    assert 0 < len(xs) < cfg.samples
     lam1 = np.linalg.svd(mats, compute_uv=False)[:, 0]
     assert lam1.max() > 4.0 and (np.linalg.det(mats) < 0).any()
     rho = np.array([translation_support_radius(ctx, m) for m in mats])
     assert np.allclose(rho, lam1 * (ctx.R_K + ctx.R_L), rtol=1e-12)
-    # the draws fill exactly that disk: P(|x| > 0.9 rho) = 1 - 0.81
     frac = np.linalg.norm(xs, axis=1) / rho
     assert frac.max() <= 1.0 + 1e-9
-    assert abs(np.mean(frac > 0.9) - 0.19) < 0.015
-    # and no weight lies outside it
+    # the draws fill exactly that disk: P(|x| > 0.9 rho) = 1 - 0.81
+    radii = np.concatenate([r for r, _ in polar])
+    assert len(radii) == cfg.samples and radii.max() <= 1.0
+    assert abs(np.mean(radii > 0.9) - 0.19) < 0.015
+    # and no weight lies outside it, for the maps of every draw
+    every = _decode_cartan(*(np.concatenate(parts) for parts in zip(*cartan)))
+    assert len(every) == cfg.samples
     rng = np.random.default_rng(8)
-    ang = rng.uniform(0.0, 2 * np.pi, len(xs))
-    out = rho * rng.uniform(1.0 + 1e-6, 3.0, len(xs))
+    ang = rng.uniform(0.0, 2 * np.pi, len(every))
+    out = (np.linalg.svd(every, compute_uv=False)[:, 0] * (ctx.R_K + ctx.R_L)
+           * rng.uniform(1.0 + 1e-6, 3.0, len(every)))
     probes = out[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    assert np.count_nonzero(evaluate_weights_batch(ctx, mats, probes)) == 0
+    assert np.count_nonzero(evaluate_weights_batch(ctx, every, probes)) == 0
     # while inside it the weight is hit, also beyond the radius
     # R_K + R_L that the disk would have without the stretch factor lam1
     inside = evaluate_weights_batch(ctx, mats, xs)
@@ -328,6 +347,63 @@ def test_grouped_run_matches_per_stream_run(q0u):
             run(ctx, anchor, 4, 10, 4.0, np.random.SeedSequence(21), 1)
 
 
+def test_skipped_draws_drop_no_hit(q0u):
+    # _run_once skips the draws whose translation cannot reach L; the
+    # reference evaluates every draw, so the two agree only if no skipped
+    # draw would have hit: several truncation radii, a 12-gon, and K != L
+    # (so R_K != R_L) in both orders
+    ang = 2 * np.pi * np.arange(12) / 12
+    gon = normalize_to_unit_area(canonicalize(
+        np.stack([1.3 * np.cos(ang), np.sin(ang)], axis=1)))[0]
+    tri = normalize_to_unit_area(canonicalize([[0, 0], [1, 0], [0, 1]]))[0]
+    q0, gon, tri = (ConvexPolygon(b.vertices - b.centroid)
+                    for b in (q0u, gon, tri))
+    anchor = Q0_ANCHOR - q0u.centroid
+    for K, L in ((q0, q0), (gon, gon), (q0, tri), (tri, q0)):
+        ctx = weight_context(K, L)
+        assert (ctx.R_K == ctx.R_L) == (K is L)
+        for radius in (2.0, 16.0, 32.0):
+            ref = oracles.per_stream_run(ctx, anchor, 4, 40_000, radius,
+                                         np.random.SeedSequence(23), 1)
+            got = aipoints.estimator._run_once(ctx, anchor, 4, 40_000, radius,
+                                               np.random.SeedSequence(23), 1)
+            for g, r in zip(got[:3], ref[:3]):
+                assert np.allclose(g, r, rtol=1e-12, atol=0), radius
+            assert got[3] == ref[3], radius
+
+
+def test_weight_vanishes_outside_the_rectangle(q0u):
+    # with u1, u2 the columns of R(theta1), a hit needs |<x, u1>| <= R_L +
+    # e^t R_K and |<x, u2>| <= R_L + e^-t R_K; x just outside either bound
+    # gets exactly 0.0, and _reaches_l keeps every draw inside the rectangle
+    tri = normalize_to_unit_area(canonicalize([[0, 0], [1, 0], [0, 1]]))[0]
+    q0, tri = (ConvexPolygon(b.vertices - b.centroid) for b in (q0u, tri))
+    rng = np.random.default_rng(17)
+    n = 20_000
+    for ctx in (weight_context(q0, q0), weight_context(q0, tri),
+                weight_context(tri, q0)):
+        th1, t, th2, refl = _sample_cartan(32.0, rng, n)
+        mats = _decode_cartan(th1, t, th2, refl)
+        et = np.exp(t)
+        assert refl.any() and (~refl).any() and et.max() > 30.0
+        u1 = np.stack([np.cos(th1), np.sin(th1)], axis=1)
+        u2 = np.stack([-np.sin(th1), np.cos(th1)], axis=1)
+        half = np.stack([ctx.R_L + et * ctx.R_K, ctx.R_L + ctx.R_K / et], axis=1)
+        sign = np.where(rng.random((n, 2)) < 0.5, -1.0, 1.0)
+        inner = half * rng.uniform(-1.0, 1.0, (n, 2))
+        for axis in (0, 1):
+            c = inner.copy()
+            c[:, axis] = sign[:, axis] * half[:, axis] * (1.0 + 1e-6)
+            xs = c[:, :1] * u1 + c[:, 1:] * u2
+            assert np.count_nonzero(evaluate_weights_batch(ctx, mats, xs)) == 0
+        xs = inner[:, :1] * u1 + inner[:, 1:] * u2
+        assert np.count_nonzero(evaluate_weights_batch(ctx, mats, xs)) > 100
+        radial = np.hypot(xs[:, 0], xs[:, 1])
+        keep = aipoints.estimator._reaches_l(ctx, th1, et, radial,
+                                             np.arctan2(xs[:, 1], xs[:, 0]))
+        assert keep.all()
+
+
 def test_grouping_keeps_moment_rows_bitwise(q0u):
     # a substream's row of moments has the same bytes whether it is summed
     # alone or over its slice of a group's batch: uneven counts, and one
@@ -346,7 +422,8 @@ def test_grouping_keeps_moment_rows_bitwise(q0u):
 def test_substreams_share_batches(q0u, monkeypatch):
     # a short run is one batch; at the default 200,000 samples a substream
     # of 12,500 rows fills a group alone; at 300,000 a substream of 18,750
-    # rows draws in pieces of at most _BATCH = 16,384
+    # rows draws in pieces of at most _BATCH = 16,384.  A batch evaluates
+    # only the draws that can reach L: at the default R = 16 about 5% of them
     rows = []
 
     def spy(ctx, mats, xs):
@@ -354,16 +431,14 @@ def test_substreams_share_batches(q0u, monkeypatch):
         return evaluate_weights_batch(ctx, mats, xs)
 
     monkeypatch.setattr(aipoints.estimator, "evaluate_weights_batch", spy)
-    estimate_tk_unit(q0u, Q0_ANCHOR, q0u,
-                     EstimatorConfig(samples=6_000, r_doubling_rounds=0))
-    assert rows == [6_000]
-    rows.clear()
-    estimate_tk_unit(q0u, Q0_ANCHOR, q0u, EstimatorConfig(r_doubling_rounds=0))
-    assert rows == [12_500] * 16
-    rows.clear()
-    estimate_tk_unit(q0u, Q0_ANCHOR, q0u,
-                     EstimatorConfig(samples=300_000, r_doubling_rounds=0))
-    assert rows == [16_384, 2_366] * 16
+    for samples, drawn in ((6_000, [6_000]), (200_000, [12_500] * 16),
+                           (300_000, [16_384, 2_366] * 16)):
+        rows.clear()
+        estimate_tk_unit(q0u, Q0_ANCHOR, q0u,
+                         EstimatorConfig(samples=samples, r_doubling_rounds=0))
+        assert len(rows) == len(drawn), samples
+        assert all(0 < got <= cap for got, cap in zip(rows, drawn)), samples
+        assert sum(rows) < 0.1 * samples, samples
 
 
 def test_seed_reproducibility(q0u):

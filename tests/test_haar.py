@@ -115,18 +115,18 @@ def test_norm_tail_fractions():
 
 
 def test_translation_sampler():
-    # the estimator draws x = c + rho * _sample_disk(...).  Uniform on the
-    # unit disk means r = sqrt(U1), angle = 2 pi U2 with U1 drawn first; the
-    # draws must be exactly that, so the rng order is pinned as well
+    # the estimator draws x = rho * r (cos a, sin a) from (r, a) =
+    # _sample_disk(...).  Uniform on the unit disk means r = sqrt(U1),
+    # a = 2 pi U2 with U1 drawn first; the draws must be exactly that, so the
+    # rng order is pinned as well
     n = 20_000
-    pts = _sample_disk(np.random.default_rng(36), n)
+    r, a = _sample_disk(np.random.default_rng(36), n)
     rng = np.random.default_rng(36)
-    r, a = np.sqrt(rng.random(n)), rng.random(n) * (2 * np.pi)
-    assert np.array_equal(pts, np.stack([r * np.cos(a), r * np.sin(a)], axis=-1))
-    r2 = np.sum(pts * pts, axis=1)
-    assert np.all(r2 <= 1.0 + 1e-12)
+    assert np.array_equal(r, np.sqrt(rng.random(n)))
+    assert np.array_equal(a, rng.random(n) * (2 * np.pi))
+    assert np.all(r <= 1.0)
     # a quarter of the draws fall inside radius 1/2
-    assert abs(np.mean(r2 <= 0.25) - 0.25) < 4 * np.sqrt(0.25 * 0.75 / n)
+    assert abs(np.mean(r <= 0.5) - 0.25) < 4 * np.sqrt(0.25 * 0.75 / n)
 
 
 def test_translation_correlation_integral_vs_quadrature():

@@ -157,7 +157,9 @@ def test_batch_matches_adjugate_einsum_bitwise(quad_unit):
             th1, t, th2, refl = _sample_cartan(radius, rng, 20_000)
             mats = _decode_cartan(th1, t, th2, refl)
             rho = np.exp(t) * (ctx.R_K + ctx.R_L)
-            xs = rho[:, None] * _sample_disk(rng, len(t))
+            r, ang = _sample_disk(rng, len(t))
+            xs = rho[:, None] * np.stack([r * np.cos(ang), r * np.sin(ang)],
+                                         axis=-1)
             got = evaluate_weights_batch(ctx, mats, xs)
             ref = oracles.adjugate_einsum_weights(ctx, mats, refl, xs)
             assert refl.any() and (~refl).any()
