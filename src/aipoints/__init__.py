@@ -16,8 +16,8 @@ from .estimator import (SWEEP_CSV_HEADER, EstimatorConfig, PointEstimate,
                         SweepRow, convergence_sweep, estimate_record,
                         estimate_tk, estimate_tk_unit)
 from .geometry import (ConvexPolygon, apply_affine, batch_intersection_area,
-                       canonicalize, intersection_area, load_polygon,
-                       normalize_to_unit_area, polygon_from_dict)
+                       canonicalize, load_polygon, normalize_to_unit_area,
+                       polygon_from_dict)
 from .haar import sample_sl2pm, truncated_mass
 from .symmetry import (FixedSet, SymmetryReport, automorphism_group,
                        fixed_points, report_to_dict)

@@ -19,6 +19,13 @@ the ratio, its delta-method standard errors and the ESS are read out of them
 once per run for the anchor.  One R-doubling rerun with fresh samples
 reports the truncation stability.
 
+The draws, the filter and the clip do not depend on k, so
+convergence_sweep draws, decodes and clips once per run radius for all its
+k: the first run at a radius sums one block of moments per k over the same
+hits, and the other k read theirs.  Each row has the bytes of a separate
+estimate_tk run with its k at the same seed.  That memo holds one block of
+57 sums per k and run, and lives only for the sweep's call.
+
 Sampling is split over a fixed number of seeded substreams combined in stream
 order, so results are bitwise the same for a fixed seed at any thread count.
 A batch has at most _BATCH rows: a longer substream draws in pieces, and
@@ -30,7 +37,8 @@ from __future__ import annotations
 
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from contextvars import ContextVar
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -110,6 +118,18 @@ class SweepRow:
     err_to_v: float
 
 
+@dataclass(frozen=True)
+class _Sweep:
+    """The exponents of the convergence_sweep under way, and the moment
+    totals its runs have summed so far (see _run_once)."""
+    ks: tuple[int, ...]
+    totals: dict = field(default_factory=dict)
+
+
+# Set by convergence_sweep for the length of the call only.
+_SWEEP: ContextVar[_Sweep | None] = ContextVar("aipoints_sweep", default=None)
+
+
 def _anchor(v) -> np.ndarray:
     """The anchor as a float 2-vector; a non-finite one is a ConfigError."""
     anchor = np.asarray(v, dtype=float).reshape(2)
@@ -126,12 +146,13 @@ def _finite(est: PointEstimate) -> PointEstimate:
     return est
 
 
-def _stream_partial(ctx: WeightContext, k: int, radius: float,
+def _stream_partial(ctx: WeightContext, ks: tuple[int, ...], radius: float,
                     seed_seqs: list[np.random.SeedSequence],
                     counts: list[int]) -> np.ndarray:
-    """Moments of the maps (M, x) of a group of substreams, one row each.
+    """Moments of the maps (M, x) of a group of substreams, one row each,
+    with one block of 57 columns per exponent k of ``ks``.
 
-    A row holds sum a z (7 columns), sum a^2 z z^T (49, row-major) and the
+    A block holds sum a z (7 columns), sum a^2 z z^T (49, row-major) and the
     hit count, where a = w F^k is the importance weight and z = (M11, M12,
     M21, M22, x1, x2, 1); phi(v) = M v + x is linear in z, so a row serves
     every anchor.  Only hits (F > 0) are summed: a miss has a = 0, and most
@@ -140,12 +161,14 @@ def _stream_partial(ctx: WeightContext, k: int, radius: float,
     pieces of one round are evaluated as one batch and each row is summed
     over its own substream's slice, so the rows do not depend on the
     grouping.  Only the draws that _reaches_l keeps are decoded and
-    evaluated; the rest would clip to exactly 0.0.
+    evaluated; the rest would clip to exactly 0.0.  The draws and the clip
+    do not depend on k, so every k reads the same hits, and each block has
+    the bytes of a call with that k alone.
     """
     rngs = [np.random.default_rng(seq) for seq in seed_seqs]
     mass = truncated_mass(radius)
     reach = ctx.R_K + ctx.R_L
-    sums = np.zeros((len(counts), 57))
+    sums = np.zeros((len(counts), 57 * len(ks)))
     done = 0
     while done < max(counts):
         sizes = [min(_BATCH, max(count - done, 0)) for count in counts]
@@ -161,12 +184,16 @@ def _stream_partial(ctx: WeightContext, k: int, radius: float,
         f = evaluate_weights_batch(ctx, mats, xs)
         hit = np.flatnonzero(f)
         z = np.column_stack([mats[hit].reshape(-1, 4), xs[hit], np.ones(len(hit))])
-        a = mass * np.pi * rho[hit] * rho[hit] * f[hit] ** k
-        az = a[:, None] * z
+        w = mass * np.pi * rho[hit] * rho[hit]
+        f = f[hit]
         ends = np.searchsorted(kept[hit], np.cumsum(sizes))
-        for row, lo, hi in zip(sums, [0, *ends[:-1]], ends):
-            row += (*(a[lo:hi] @ z[lo:hi]), *(az[lo:hi].T @ az[lo:hi]).ravel(),
-                    hi - lo)
+        for block, k in enumerate(ks):
+            a = w * f ** k
+            az = a[:, None] * z
+            for row, lo, hi in zip(sums[:, 57 * block:57 * (block + 1)],
+                                   [0, *ends[:-1]], ends):
+                row += (*(a[lo:hi] @ z[lo:hi]), *(az[lo:hi].T @ az[lo:hi]).ravel(),
+                        hi - lo)
         done += _BATCH
     return sums
 
@@ -196,9 +223,11 @@ def _joined(parts: tuple[np.ndarray, ...]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _run_once(ctx: WeightContext, anchor: np.ndarray, k: int, samples: int,
-              radius: float, seed_seq: np.random.SeedSequence,
-              threads: int) -> tuple[np.ndarray, np.ndarray, float, int]:
+def _moment_totals(ctx: WeightContext, ks: tuple[int, ...], samples: int,
+                   radius: float, seed_seq: np.random.SeedSequence,
+                   threads: int) -> np.ndarray:
+    """The 57-column moment block of one run for each k of ``ks``, side by
+    side, each summed over the substreams in stream order."""
     streams = seed_seq.spawn(STREAM_COUNT)
     base, extra = divmod(samples, STREAM_COUNT)
     counts = [base + (1 if i < extra else 0) for i in range(STREAM_COUNT)]
@@ -207,12 +236,29 @@ def _run_once(ctx: WeightContext, anchor: np.ndarray, k: int, samples: int,
     groups = [slice(i, i + per_group) for i in range(0, STREAM_COUNT, per_group)]
 
     def job(group: slice) -> np.ndarray:
-        return _stream_partial(ctx, k, radius, streams[group], counts[group])
+        return _stream_partial(ctx, ks, radius, streams[group], counts[group])
 
     # the pool starts a thread only on its first submit
     with ThreadPoolExecutor(max_workers=threads) as pool:
         rows = np.concatenate(list((pool.map if threads > 1 else map)(job, groups)))
-    totals = rows.sum(axis=0)       # in stream order, one row after another
+    return rows.sum(axis=0)         # in stream order, one row after another
+
+
+def _run_once(ctx: WeightContext, anchor: np.ndarray, k: int, samples: int,
+              radius: float, seed_seq: np.random.SeedSequence,
+              threads: int) -> tuple[np.ndarray, np.ndarray, float, int]:
+    # Inside a sweep the first run at a given body, samples, radius and seed
+    # sums the blocks of every k of the sweep, and the other k read theirs.
+    sweep = _SWEEP.get()
+    ks = sweep.ks if sweep is not None and k in sweep.ks else (k,)
+    memo = sweep.totals if sweep is not None else {}
+    key = (ks, ctx.K.vertices.tobytes(), ctx.L.vertices.tobytes(), samples,
+           radius, seed_seq.entropy, seed_seq.spawn_key,
+           seed_seq.n_children_spawned)
+    if key not in memo:
+        memo[key] = _moment_totals(ctx, ks, samples, radius, seed_seq, threads)
+    block = ks.index(k)
+    totals = memo[key][57 * block:57 * (block + 1)]
     s_az, s_a2zz, n_pos = totals[:7], totals[7:56].reshape(7, 7), int(totals[56])
     s_a = float(s_az[6])
 
@@ -296,6 +342,12 @@ def convergence_sweep(K: ConvexPolygon, v, ks, cfg: EstimatorConfig,
     The anchor must lie in the fixed set of K's affine automorphism group for
     the k -> infinity limit to be v; ``check_anchor=False`` skips that gate.
     The gate runs on the unit-area body, so its tolerance scales with K.
+
+    Every row runs at cfg.seed, so all rows share their draws: the sweep
+    draws, decodes and clips once per run radius (R and each R-doubling)
+    and sums the moments of every k from those hits.  Each row is still one
+    estimate_tk call, and its bytes are those of estimate_tk with that k at
+    the same seed.  The moment totals are kept only for this call.
     """
     if len(ks) == 0:
         raise ConfigError("the sweep needs at least one k")
@@ -312,10 +364,14 @@ def convergence_sweep(K: ConvexPolygon, v, ks, cfg: EstimatorConfig,
                 f"anchor {anchor.tolist()} is not fixed by the automorphism "
                 f"group of the body ({report.kind})")
     rows = []
-    for row_cfg in cfgs:
-        est = estimate_tk(K, anchor, K, row_cfg, threads)
-        rows.append(SweepRow(k=int(row_cfg.k), estimate=est,
-                             err_to_v=float(np.linalg.norm(est.value - anchor))))
+    token = _SWEEP.set(_Sweep(ks=tuple(named)))
+    try:
+        for row_cfg in cfgs:
+            est = estimate_tk(K, anchor, K, row_cfg, threads)
+            rows.append(SweepRow(k=int(row_cfg.k), estimate=est,
+                                 err_to_v=float(np.linalg.norm(est.value - anchor))))
+    finally:
+        _SWEEP.reset(token)
     return rows
 
 

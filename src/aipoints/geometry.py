@@ -21,7 +21,6 @@ __all__ = [
     "ConvexPolygon",
     "canonicalize",
     "apply_affine",
-    "intersection_area",
     "batch_intersection_area",
     "normalize_to_unit_area",
     "polygon_from_dict",
@@ -250,11 +249,6 @@ def _clip_areas(subjects: np.ndarray, clip: ConvexPolygon) -> np.ndarray:
     areas = 0.5 * twice
     areas[areas < AREA_CLAMP] = 0.0
     return areas
-
-
-def intersection_area(p: ConvexPolygon, q: ConvexPolygon) -> float:
-    """Area of the intersection ``p ∩ q`` (0.0 when it is empty or degenerate)."""
-    return float(batch_intersection_area(p.vertices[None, :, :], q)[0])
 
 
 def normalize_to_unit_area(poly: ConvexPolygon) -> tuple[ConvexPolygon, float]:

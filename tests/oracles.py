@@ -9,9 +9,10 @@ that no command computes: adaptive-quadrature limits of peaked ratios
 (``power_ratio_limit``), left invariance of the Haar sampler
 (``invariance_check`` with ``smoothed_ball_indicator``), the radial CDF
 (``truncated_cdf``), polar factors and their fractional powers, the
-Hausdorff distance between convex polygons, Sutherland–Hodgman clipping
-(``sutherland_hodgman_areas``, the library's kernel before Green's theorem),
-which the clip kernel is checked against, the weight through an
+Hausdorff distance between convex polygons, the area of one pair through
+the library's batched kernel (``intersection_area``), Sutherland–Hodgman
+clipping (``sutherland_hodgman_areas``, the library's kernel before Green's
+theorem), which the clip kernel is checked against, the weight through an
 ``einsum`` with adj(M) (``adjugate_einsum_weights``, the library's subject
 transform before it took the maps themselves), and one estimator run that
 sums a phi(v) for its anchor and evaluates every substream as its own batch
@@ -434,6 +435,12 @@ def hausdorff_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:
     """
     return float(max(_dist_to_polygon(p.vertices, q).max(),
                      _dist_to_polygon(q.vertices, p).max()))
+
+
+def intersection_area(p: ConvexPolygon, q: ConvexPolygon) -> float:
+    """Area of ``p ∩ q`` through the library's batched kernel, one row
+    (0.0 when it is empty or degenerate)."""
+    return float(batch_intersection_area(p.vertices[None, :, :], q)[0])
 
 
 def sutherland_hodgman_areas(subjects: np.ndarray, clip: ConvexPolygon) -> np.ndarray:

@@ -20,7 +20,6 @@ from aipoints import (
     estimate_tk_unit,
     evaluate_weights_batch,
     fixed_points,
-    intersection_area,
     john_center,
     normalize_to_unit_area,
     sample_sl2pm,
@@ -34,8 +33,9 @@ from aipoints import (
 from aipoints.cli import main as cli_main
 
 import oracles
-from oracles import (fractional_polar_factor, invariance_check, inverse,
-                     power_ratio_limit, smoothed_ball_indicator, truncated_cdf)
+from oracles import (fractional_polar_factor, intersection_area,
+                     invariance_check, inverse, power_ratio_limit,
+                     smoothed_ball_indicator, truncated_cdf)
 
 SQUARE = canonicalize(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float))
 TRIANGLE = canonicalize(np.array([[0, 0], [1, 0], [0, 1]], float))

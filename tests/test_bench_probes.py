@@ -97,3 +97,36 @@ def test_run_once_probe_reads_samples_and_hits():
         assert info["samples"] == cfg.samples
         assert 0 < info["hits"] <= cfg.samples
     assert not tracer.info_errors
+
+
+def test_sweep_probes_see_every_row():
+    # a sweep draws and clips once per run radius for all its k, but still
+    # calls estimate_tk_unit once per k and _run_once once per (k, radius):
+    # sweep-peaked sums the ESS, se^2 and draws those probes read
+    tracing, workloads = _load("tracing"), _load("workloads")
+    q0, _ = aipoints.normalize_to_unit_area(
+        aipoints.canonicalize(workloads.Q0_VERTICES))
+    cfg = aipoints.estimator.EstimatorConfig(samples=20_000,
+                                             R=workloads.SWEEP_RADIUS,
+                                             r_doubling_rounds=1)
+    tracer = tracing.Tracer()
+    with tracing.Patched(tracer, tracing.PROBES) as patched:
+        rows = aipoints.estimator.convergence_sweep(
+            q0, np.array(workloads.SWEEP_ANCHOR), list(workloads.SWEEP_KS),
+            cfg, threads=workloads.SWEEP_THREADS, check_anchor=False)
+    assert patched.absent == []
+    assert len(rows) == len(workloads.SWEEP_KS) == 3
+
+    def infos(name):
+        return [span[tracing.INFO] for span in tracer.spans
+                if span[tracing.NAME] == f"aipoints.estimator.{name}"]
+
+    estimates = infos("estimate_tk_unit")
+    assert len(estimates) == 3
+    assert all(info["ess"] > 0 and info["se2"] > 0 for info in estimates)
+    assert [info["ess"] for info in estimates] == [row.estimate.ess for row in rows]
+    runs = infos("_run_once")
+    assert len(runs) == 2 * 3
+    assert all(info["samples"] == cfg.samples for info in runs)
+    assert all(0 < info["hits"] <= cfg.samples for info in runs)
+    assert not tracer.info_errors

@@ -8,6 +8,8 @@ is checked against that anchor point plus structural exactness (scaling,
 translation, affinity in v) and frozen seeded runs.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -412,11 +414,76 @@ def test_grouping_keeps_moment_rows_bitwise(q0u):
     ctx = weight_context(body, body)
     streams = np.random.SeedSequence(5).spawn(5)
     counts = [2_000, 1_999, 1_999, 1_998, aipoints.estimator._BATCH + 3_000]
-    grouped = aipoints.estimator._stream_partial(ctx, 4, 4.0, streams, counts)
+    grouped = aipoints.estimator._stream_partial(ctx, (4,), 4.0, streams, counts)
     assert grouped.shape == (5, 57) and (grouped[:, 56] > 0).all()
     for row, seq, count in zip(grouped, streams, counts):
-        alone = aipoints.estimator._stream_partial(ctx, 4, 4.0, [seq], [count])
+        alone = aipoints.estimator._stream_partial(ctx, (4,), 4.0, [seq], [count])
         assert alone.tobytes() == row.tobytes()
+    # several exponents read the same hits: the k = 4 block of a call with
+    # ks (2, 4, 9) has the bytes of the call with k = 4 alone
+    several = aipoints.estimator._stream_partial(ctx, (2, 4, 9), 4.0, streams,
+                                                 counts)
+    assert several.shape == (5, 3 * 57)
+    assert several[:, 57:114].tobytes() == grouped.tobytes()
+    assert (several[:, [56, 113, 170]] == grouped[:, [56]]).all()
+
+
+def _estimate_bytes(est) -> bytes:
+    return (est.value.tobytes() + est.std_error.tobytes()
+            + np.float64(est.ess).tobytes() + np.float64(est.r_stability).tobytes())
+
+
+def test_sweep_rows_match_separate_estimates_bitwise(q0u):
+    # a sweep draws and clips once per run radius for all its k; each row
+    # must have the bytes of estimate_tk with that k at the same seed.  At
+    # 300,000 samples each substream draws two _BATCH pieces, and the ks are
+    # out of order
+    ks = [16, 2, 8]
+    for threads, R, rounds, samples in ((1, 2.0, 0, 6_000), (3, 2.0, 2, 6_000),
+                                        (3, 2.0, 0, 300_000),
+                                        (1, 16.0, 2, 300_000),
+                                        (3, 16.0, 0, 300_000)):
+        cfg = EstimatorConfig(samples=samples, R=R, seed=4,
+                              r_doubling_rounds=rounds)
+        rows = convergence_sweep(q0u, Q0_ANCHOR, ks, cfg, threads=threads,
+                                 check_anchor=False)
+        assert [row.k for row in rows] == ks
+        for row in rows:
+            alone = estimate_tk(q0u, Q0_ANCHOR, q0u,
+                                EstimatorConfig(k=row.k, samples=samples, R=R,
+                                                seed=4, r_doubling_rounds=rounds),
+                                threads=threads)
+            assert _estimate_bytes(row.estimate) == _estimate_bytes(alone), (
+                threads, R, rounds, samples, row.k)
+
+
+def test_sweep_state_ends_with_the_call(q0u, monkeypatch):
+    # the last k makes every F^k underflow in the R-doubling rerun: the sweep
+    # raises what the per-k loop raises, at the same row, and leaves no memo
+    cfg = EstimatorConfig(samples=20_000, R=2.0, seed=0)
+    ks = [2, 3000]
+    before = estimate_tk(q0u, Q0_ANCHOR, q0u, replace(cfg, k=2))
+    with pytest.raises(DegenerateWeights) as loop:
+        for k in ks:
+            estimate_tk(q0u, Q0_ANCHOR, q0u, replace(cfg, k=k))
+    called = []
+    real = aipoints.estimator.estimate_tk_unit
+
+    def spy(K, v, L, row_cfg, threads=1):
+        called.append(row_cfg.k)
+        return real(K, v, L, row_cfg, threads=threads)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(aipoints.estimator, "estimate_tk_unit", spy)
+        with pytest.raises(DegenerateWeights) as swept:
+            convergence_sweep(q0u, Q0_ANCHOR, ks, cfg, check_anchor=False)
+    assert type(swept.value) is type(loop.value)
+    assert str(swept.value) == str(loop.value)
+    assert "k=3000, R=4.0" in str(swept.value)
+    assert called == ks
+    assert aipoints.estimator._SWEEP.get() is None
+    after = estimate_tk(q0u, Q0_ANCHOR, q0u, replace(cfg, k=2))
+    assert _estimate_bytes(after) == _estimate_bytes(before)
 
 
 def test_substreams_share_batches(q0u, monkeypatch):

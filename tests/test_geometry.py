@@ -17,13 +17,12 @@ from aipoints import (
     apply_affine,
     batch_intersection_area,
     canonicalize,
-    intersection_area,
     normalize_to_unit_area,
     polygon_from_dict,
 )
 from aipoints.estimator import EstimatorConfig, estimate_tk_unit
 from aipoints.geometry import _clip_areas, _separated
-from oracles import hausdorff_distance, rotation, stretch
+from oracles import hausdorff_distance, intersection_area, rotation, stretch
 
 EXACT = 1e-12
 
