@@ -76,8 +76,7 @@ def _grad_hess(theta: np.ndarray, z0, maps, mu: float):
     return grad, hess
 
 
-def john_ellipse(poly: ConvexPolygon, max_iter: int = _MAX_ITER
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def john_ellipse(poly: ConvexPolygon) -> tuple[np.ndarray, np.ndarray]:
     """Center and SPD shape matrix of the maximum-area inscribed ellipse.
 
     Raises
@@ -92,9 +91,9 @@ def john_ellipse(poly: ConvexPolygon, max_iter: int = _MAX_ITER
     iters = 0
     for mu in _MU_LADDER:
         for _ in range(200):
-            if iters >= max_iter:
+            if iters >= _MAX_ITER:
                 raise ConvergenceFailure(
-                    f"inscribed-ellipse solver hit the {max_iter}-iteration cap")
+                    f"inscribed-ellipse solver hit the {_MAX_ITER}-iteration cap")
             iters += 1
             grad, hess = _grad_hess(theta, z0, maps, mu)
             try:

@@ -2,8 +2,9 @@
 
 stdout carries data (JSON or CSV), stderr carries diagnostics.  Every output
 embeds a deterministic run manifest (command, body paths, config echo, tool
-version); identical manifests produce byte-identical output.  Exit codes:
-0 success, 2 unreadable input, 3 degenerate weights, 4 precondition violations.
+version); identical manifests produce byte-identical output.  Exit codes
+follow the error class: 0 success, 3 DegenerateWeights, 2 unreadable input
+(_PARSE_ERRORS), 4 any other AipointsError.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, classical
-from .errors import (AipointsError, AnchorOutsideFixedSet, BodyFormatError,
-                     ConfigError, ConvergenceFailure, DegenerateBody,
-                     DegenerateWeights, InvalidRadius, SingularMap)
+from .errors import (AipointsError, BodyFormatError, ConfigError,
+                     DegenerateWeights)
 from .estimator import (DEFAULT_K, DEFAULT_RADIUS, DEFAULT_SAMPLES,
                         SWEEP_CSV_HEADER, EstimatorConfig, convergence_sweep,
                         estimate_record, estimate_tk)
@@ -35,13 +35,26 @@ EXIT_PRECONDITION = 4
 
 _PARSE_ERRORS = (BodyFormatError, json.JSONDecodeError, UnicodeDecodeError,
                  OSError)
-_PRECONDITION_ERRORS = (DegenerateBody, SingularMap, AnchorOutsideFixedSet,
-                        ConfigError, InvalidRadius, ConvergenceFailure)
 
-# exact point rules and the residual each may leave under an affine map;
-# john_center is looked up per call, so a wrapper put on it later is seen
-_POINT_RULES = {"centroid": (lambda poly: np.array(poly.centroid), 1e-10),
-                "john": (lambda poly: classical.john_center(poly), 1e-5)}
+
+def _exact(point):
+    """An exact rule: ``point`` of the body, with no sampling error."""
+    return lambda K, L, cfg, threads: (point(L), np.zeros(2), 0.0)
+
+
+def _tk(K, L, cfg: EstimatorConfig, threads: int):
+    est = estimate_tk(K, K.centroid, L, cfg, threads=threads)
+    return est.value, est.std_error, est.r_stability
+
+
+# name -> (evaluate, tol).  evaluate(K, L, cfg, threads) gives the rule's
+# (value, std_error, r_stability) on the body L: tk weighs by the base body
+# K with K's centroid as anchor, the exact rules read L alone.  tol is the
+# residual an exact rule may leave under an affine map.  john_center is
+# looked up per call, so a wrapper put on it later is seen.
+_RULES = {"centroid": (_exact(lambda poly: np.array(poly.centroid)), 1e-10),
+          "john": (_exact(lambda poly: classical.john_center(poly)), 1e-5),
+          "tk": (_tk, 0.0)}
 
 
 def _anchor_type(text: str) -> np.ndarray:
@@ -96,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_point = sub.add_parser("point", help="evaluate one point rule on a body")
     p_point.add_argument("body", type=Path, help="polygon JSON file")
-    p_point.add_argument("--rule", required=True, choices=("centroid", "john", "tk"))
+    p_point.add_argument("--rule", required=True, choices=tuple(_RULES))
     p_point.add_argument("--anchor", type=_anchor_type, default=None,
                          help="anchor x,y for the tk rule (default: base-body centroid)")
     p_point.add_argument("--base-body", type=Path, default=None,
@@ -118,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_audit = sub.add_parser("audit", help="equivariance residuals over a body directory")
     p_audit.add_argument("bodies", type=Path, help="directory of polygon JSON files")
     p_audit.add_argument("--rules", default="centroid,john",
-                         help="comma list from {centroid,john,tk}")
+                         help=f"comma list from {{{','.join(_RULES)}}}")
     p_audit.add_argument("--maps", type=int, default=20,
                          help="random volume-preserving maps per body (default 20)")
     p_audit.add_argument("--out", type=Path, default=None,
@@ -162,13 +175,13 @@ def _write_csv(lines: list[str], out: Path | None) -> None:
 def cmd_point(args) -> int:
     body = load_polygon(args.body)
     cfg = _config_from_args(args)   # a bad flag fails for every rule
-    if args.rule in _POINT_RULES:
+    if args.rule != "tk":
         for flag, given in (("--anchor", args.anchor),
                             ("--base-body", args.base_body)):
             if given is not None:
                 raise ConfigError(f"{flag} applies only to --rule tk, "
                                   f"not {args.rule}")
-        value = _POINT_RULES[args.rule][0](body)
+        value = _RULES[args.rule][0](body, body, cfg, args.threads)[0]
         manifest = _manifest("point", {"body": args.body},
                              {"rule": args.rule})
         _emit_json({"rule": args.rule,
@@ -177,15 +190,15 @@ def cmd_point(args) -> int:
         return 0
 
     base_path = args.base_body if args.base_body is not None else args.body
-    base = load_polygon(base_path)
+    base = body if args.base_body is None else load_polygon(base_path)
     anchor = args.anchor if args.anchor is not None else np.array(base.centroid)
     est = estimate_tk(base, anchor, body, cfg, threads=args.threads)
     record = estimate_record(est, cfg)
     manifest = _manifest("point", {"body": args.body, "base_body": base_path},
-                         {"rule": "tk", "k": cfg.k, "samples": cfg.samples,
+                         {"rule": args.rule, "k": cfg.k, "samples": cfg.samples,
                           "R": cfg.R, "seed": cfg.seed, "threads": args.threads,
                           "anchor": [float(anchor[0]), float(anchor[1])]})
-    record["rule"] = "tk"
+    record["rule"] = args.rule
     record["manifest"] = manifest
     _emit_json(record)
     return 0
@@ -237,7 +250,7 @@ def cmd_audit(args) -> int:
     _check_out(args.out)
     rules = [part.strip() for part in args.rules.split(",") if part.strip()]
     for rule in rules:
-        if rule not in ("centroid", "john", "tk"):
+        if rule not in _RULES:
             raise ConfigError(f"unknown rule {rule!r}")
     if not rules:
         raise ConfigError("--rules names no rule")
@@ -261,8 +274,9 @@ def cmd_audit(args) -> int:
     for path in paths:
         body = load_polygon(path)
         for rule in rules:
+            evaluate, tol = _RULES[rule]
             try:
-                base = _audit_base(rule, body, cfg, args.threads)
+                base = evaluate(body, body, cfg, args.threads)
             except AipointsError as exc:  # no base: every map of it fails
                 lines.extend(_error_row(path.name, rule, index, exc)
                              for index in range(len(maps)))
@@ -270,13 +284,8 @@ def cmd_audit(args) -> int:
             for index, tau in enumerate(maps):
                 try:
                     moved = apply_affine((tau.linear, tau.translation), body)
-                    if rule == "tk":
-                        residual, gate = _tk_residual(base, moved, tau, cfg,
-                                                      args.threads)
-                    else:
-                        fn, gate = _POINT_RULES[rule]
-                        residual = float(np.linalg.norm(
-                            fn(moved) - tau.apply(base)))
+                    residual, gate = _residual_and_gate(
+                        base, evaluate(body, moved, cfg, args.threads), tau, tol)
                 except AipointsError as exc:  # keep auditing the rest
                     lines.append(_error_row(path.name, rule, index, exc))
                     continue
@@ -302,28 +311,17 @@ def _error_row(name: str, rule: str, index: int, exc: AipointsError) -> str:
     return f"{name},{rule},{index},,,error:{type(exc).__name__}"
 
 
-def _audit_base(rule: str, body, cfg: EstimatorConfig, threads: int):
-    """Per-body data reused across maps: a point for the exact rules, the
-    body, anchor and base estimate for tk."""
-    if rule != "tk":
-        return _POINT_RULES[rule][0](body)
-    anchor = np.array(body.centroid)
-    return body, anchor, estimate_tk(body, anchor, body, cfg, threads=threads)
-
-
-def _tk_residual(base, moved, tau: VolumePreservingAffineMap,
-                 cfg: EstimatorConfig, threads: int) -> tuple[float, float]:
-    body, anchor, base_est = base
-    moved_est = estimate_tk(body, anchor, moved, cfg, threads=threads)
+def _residual_and_gate(base, moved, tau: VolumePreservingAffineMap,
+                       tol: float) -> tuple[float, float]:
+    """|P(tau K) - tau P(K)| from a rule's (value, std_error, r_stability)
+    on K and on tau K, and its gate: 3 sigma of the difference, both
+    R-doubling shifts and tol.  An exact rule adds 0.0 to tol."""
+    (base_value, base_se, base_r), (value, se, r_moved) = base, moved
     lin = tau.linear
-    residual = float(np.linalg.norm(moved_est.value
-                                    - tau.apply(base_est.value)))
-    se_base = base_est.std_error
-    var_mapped = (lin * lin) @ (se_base * se_base)
-    gate = (3.0 * float(np.sqrt(np.sum(moved_est.std_error ** 2)
-                                + np.sum(var_mapped)))
-            + moved_est.r_stability
-            + singular_values(lin).lam1 * base_est.r_stability)
+    residual = float(np.linalg.norm(value - tau.apply(base_value)))
+    var_mapped = (lin * lin) @ (base_se * base_se)
+    gate = (3.0 * float(np.sqrt(np.sum(se ** 2) + np.sum(var_mapped)))
+            + r_moved + singular_values(lin).lam1 * base_r + tol)
     return residual, gate
 
 
@@ -343,7 +341,7 @@ def main(argv=None) -> int:
     except _PARSE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except _PRECONDITION_ERRORS as exc:
+    except AipointsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     print(f"# {args.command}: {time.perf_counter() - started:.2f}s wall clock",

@@ -38,7 +38,7 @@ from __future__ import annotations
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,16 +118,10 @@ class SweepRow:
     err_to_v: float
 
 
-@dataclass(frozen=True)
-class _Sweep:
-    """The exponents of the convergence_sweep under way, and the moment
-    totals its runs have summed so far (see _run_once)."""
-    ks: tuple[int, ...]
-    totals: dict = field(default_factory=dict)
-
-
-# Set by convergence_sweep for the length of the call only.
-_SWEEP: ContextVar[_Sweep | None] = ContextVar("aipoints_sweep", default=None)
+# The exponents of the convergence_sweep under way and the moment totals its
+# runs have summed so far (see _run_once); set for the length of the call only.
+_SWEEP: ContextVar[tuple[tuple[int, ...], dict] | None] = ContextVar(
+    "aipoints_sweep", default=None)
 
 
 def _anchor(v) -> np.ndarray:
@@ -249,9 +243,8 @@ def _run_once(ctx: WeightContext, anchor: np.ndarray, k: int, samples: int,
               threads: int) -> tuple[np.ndarray, np.ndarray, float, int]:
     # Inside a sweep the first run at a given body, samples, radius and seed
     # sums the blocks of every k of the sweep, and the other k read theirs.
-    sweep = _SWEEP.get()
-    ks = sweep.ks if sweep is not None and k in sweep.ks else (k,)
-    memo = sweep.totals if sweep is not None else {}
+    sweep_ks, memo = _SWEEP.get() or ((), {})
+    ks = sweep_ks if k in sweep_ks else (k,)
     key = (ks, ctx.K.vertices.tobytes(), ctx.L.vertices.tobytes(), samples,
            radius, seed_seq.entropy, seed_seq.spawn_key,
            seed_seq.n_children_spawned)
@@ -364,7 +357,7 @@ def convergence_sweep(K: ConvexPolygon, v, ks, cfg: EstimatorConfig,
                 f"anchor {anchor.tolist()} is not fixed by the automorphism "
                 f"group of the body ({report.kind})")
     rows = []
-    token = _SWEEP.set(_Sweep(ks=tuple(named)))
+    token = _SWEEP.set((tuple(named), {}))
     try:
         for row_cfg in cfgs:
             est = estimate_tk(K, anchor, K, row_cfg, threads)

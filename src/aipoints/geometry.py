@@ -30,7 +30,6 @@ __all__ = [
 EDGE_EPS = 1e-12        # on-edge classification for clipping
 AREA_CLAMP = 1e-14      # intersection areas below this count as empty
 SEP_GAP = 1e-9          # miss-prefilter gap: 1000x EDGE_EPS, so a flagged row clips to 0
-COORD_TOL = 1e-9        # canonical-form equality, per coordinate
 _DIM = 2
 
 
@@ -51,21 +50,25 @@ class ConvexPolygon:
             raise DegenerateBody("non-finite vertex coordinates")
         nxt = np.roll(verts, -1, axis=0)
         nxt2 = np.roll(verts, -2, axis=0)
-        cross = _cross(nxt - verts, nxt2 - nxt)
-        if np.any(cross <= 0.0):
-            raise DegenerateBody("vertices are not strictly convex counterclockwise")
-        # shoelace sums about the first vertex, so a body far from the origin
-        # relative to its size keeps its area and centroid
-        u = verts - verts[0]
-        unxt = np.roll(u, -1, axis=0)
-        fan = u[:, 0] * unxt[:, 1] - unxt[:, 0] * u[:, 1]
-        area2 = np.sum(fan)
-        if area2 <= 0.0:
-            raise DegenerateBody("polygon area is not positive")
-        self.area = 0.5 * area2
-        cx = np.sum((u[:, 0] + unxt[:, 0]) * fan)
-        cy = np.sum((u[:, 1] + unxt[:, 1]) * fan)
-        self.centroid = verts[0] + np.array([cx, cy]) / (6.0 * self.area)
+        # an overflow here leaves a non-finite area or centroid, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = _cross(nxt - verts, nxt2 - nxt)
+            if np.any(cross <= 0.0):
+                raise DegenerateBody("vertices are not strictly convex counterclockwise")
+            # shoelace sums about the first vertex, so a body far from the
+            # origin relative to its size keeps its area and centroid
+            u = verts - verts[0]
+            unxt = np.roll(u, -1, axis=0)
+            fan = u[:, 0] * unxt[:, 1] - unxt[:, 0] * u[:, 1]
+            area2 = np.sum(fan)
+            if area2 <= 0.0:
+                raise DegenerateBody("polygon area is not positive")
+            self.area = 0.5 * area2
+            cx = np.sum((u[:, 0] + unxt[:, 0]) * fan)
+            cy = np.sum((u[:, 1] + unxt[:, 1]) * fan)
+            self.centroid = verts[0] + np.array([cx, cy]) / (6.0 * self.area)
+        if not np.isfinite([self.area, *self.centroid]).all():
+            raise DegenerateBody("polygon area or centroid overflows")
         self.centroid.setflags(write=False)
         verts = verts.copy()
         verts.setflags(write=False)
@@ -76,12 +79,6 @@ class ConvexPolygon:
 
     def __repr__(self) -> str:
         return f"ConvexPolygon({self.vertices.tolist()})"
-
-    def isclose(self, other: "ConvexPolygon", tol: float = COORD_TOL) -> bool:
-        """Set equality through the canonical form, per-coordinate tolerance."""
-        if len(self) != len(other):
-            return False
-        return bool(np.all(np.abs(self.vertices - other.vertices) <= tol))
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -126,7 +123,9 @@ def canonicalize(points) -> ConvexPolygon:
         raise DegenerateBody("expected an (n, 2) array of points")
     if not np.all(np.isfinite(pts)):
         raise DegenerateBody("non-finite input points")
-    hull = _hull_ccw(pts)
+    # huge coordinates overflow the turn tests; ConvexPolygon refuses the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        hull = _hull_ccw(pts)
     start = np.lexsort((hull[:, 1], hull[:, 0]))[0]
     return ConvexPolygon(np.roll(hull, -start, axis=0))
 
@@ -282,4 +281,8 @@ def polygon_from_dict(payload: dict) -> ConvexPolygon:
 
 def load_polygon(path) -> ConvexPolygon:
     with open(path, "r", encoding="utf-8") as fh:
-        return polygon_from_dict(json.load(fh))
+        try:
+            payload = json.load(fh)
+        except RecursionError as exc:
+            raise BodyFormatError(f"{path}: JSON nested too deeply") from exc
+    return polygon_from_dict(payload)

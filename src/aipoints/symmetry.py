@@ -19,7 +19,6 @@ from .unimodular import VolumePreservingAffineMap
 __all__ = ["FixedSet", "SymmetryReport", "automorphism_group", "fixed_points",
            "report_to_dict"]
 
-_WHITEN_TOL = 1e-9
 _VERIFY_TOL = 1e-8
 
 

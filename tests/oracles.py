@@ -9,8 +9,9 @@ that no command computes: adaptive-quadrature limits of peaked ratios
 (``power_ratio_limit``), left invariance of the Haar sampler
 (``invariance_check`` with ``smoothed_ball_indicator``), the radial CDF
 (``truncated_cdf``), polar factors and their fractional powers, the
-Hausdorff distance between convex polygons, the area of one pair through
-the library's batched kernel (``intersection_area``), Sutherland–Hodgman
+Hausdorff distance between convex polygons, set equality of canonical
+forms within a per-coordinate tolerance (``isclose``), the area of one pair
+through the library's batched kernel (``intersection_area``), Sutherland–Hodgman
 clipping (``sutherland_hodgman_areas``, the library's kernel before Green's
 theorem), which the clip kernel is checked against, the weight through an
 ``einsum`` with adj(M) (``adjugate_einsum_weights``, the library's subject
@@ -435,6 +436,17 @@ def hausdorff_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:
     """
     return float(max(_dist_to_polygon(p.vertices, q).max(),
                      _dist_to_polygon(q.vertices, p).max()))
+
+
+COORD_TOL = 1e-9        # canonical-form equality, per coordinate
+
+
+def isclose(p: ConvexPolygon, q: ConvexPolygon, tol: float = COORD_TOL) -> bool:
+    """Set equality of two polygons through their canonical forms, within
+    ``tol`` per coordinate."""
+    if len(p) != len(q):
+        return False
+    return bool(np.all(np.abs(p.vertices - q.vertices) <= tol))
 
 
 def intersection_area(p: ConvexPolygon, q: ConvexPolygon) -> float:

@@ -4,6 +4,7 @@ optimality, equivariance."""
 import numpy as np
 import pytest
 
+import aipoints.classical
 from aipoints import (
     ConvergenceFailure,
     apply_affine,
@@ -193,6 +194,7 @@ def test_grad_hess_matches_central_differences(rng):
                 assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
 
-def test_john_iteration_cap(triangle):
-    with pytest.raises(ConvergenceFailure):
-        john_ellipse(triangle, max_iter=3)
+def test_john_iteration_cap(triangle, monkeypatch):
+    monkeypatch.setattr(aipoints.classical, "_MAX_ITER", 3)
+    with pytest.raises(ConvergenceFailure, match="3-iteration cap"):
+        john_ellipse(triangle)

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import aipoints.cli
-from aipoints import (DegenerateWeights, EstimatorConfig, convergence_sweep,
-                      estimate_record, estimate_tk, load_polygon)
+import aipoints.errors
+from aipoints import (AipointsError, BodyFormatError, DegenerateWeights,
+                      EstimatorConfig, convergence_sweep, estimate_record,
+                      estimate_tk, load_polygon)
 from aipoints.cli import _build_parser, _config_from_args, main
 
 # the [project.scripts] target of the aipoints console command
@@ -205,6 +207,44 @@ def test_point_exit_codes(bodies, tmp_path, capsys):
                                    "--anchor", "1e200,0", "--samples", "20000"])
     assert (code, out) == (4, "") and "not finite" in err
     assert len(err.splitlines()) == 1   # the error alone, no numpy warnings
+    # a body whose area (1e200) or centroid (1e150) overflows used to exit 0
+    # with NaN or Infinity, and symmetry ended in an IndexError
+    for scale in (1e200, 1e150):
+        huge = tmp_path / f"huge{scale:g}.json"
+        huge.write_text(json.dumps({"vertices": [[0, 0], [scale, 0], [0, scale]]}))
+        for rule in ("centroid", "john", "tk"):
+            code, out, err = _run(capsys, ["point", huge, "--rule", rule])
+            assert (code, out) == (4, "") and "overflows" in err, (scale, rule)
+        assert len(err.splitlines()) == 1
+    code, out, err = _run(capsys, ["symmetry", huge])
+    assert (code, out) == (4, "") and "overflows" in err
+    # JSON nested past the recursion limit used to end in a RecursionError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = _run(capsys, ["point", deep, "--rule", "centroid"])
+    assert (code, out) == (2, "") and "nested too deeply" in err
+
+
+ERROR_CLASSES = [cls for cls in vars(aipoints.errors).values()
+                 if isinstance(cls, type) and issubclass(cls, AipointsError)]
+
+
+@pytest.mark.parametrize("cls", [*ERROR_CLASSES, RuntimeError],
+                         ids=lambda cls: cls.__name__)
+def test_exit_code_follows_error_class(cls, bodies, capsys, monkeypatch):
+    # main maps each package error class to its exit code; any other
+    # exception is a bug and propagates
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(aipoints.cli, "cmd_symmetry", fail)
+    if not issubclass(cls, AipointsError):
+        with pytest.raises(cls, match="boom"):
+            main(["symmetry", str(bodies["square"])])
+        return
+    expected = {DegenerateWeights: 3, BodyFormatError: 2}.get(cls, 4)
+    assert _run(capsys, ["symmetry", bodies["square"]]) == (
+        expected, "", "error: boom\n")
 
 
 def test_parser_defaults_match_the_estimator():
@@ -393,6 +433,9 @@ def test_audit_bad_inputs(tmp_path, capsys, monkeypatch):
     assert (code, out) == (2, "") and "error:" in err
     assert not lost.parent.exists()
     assert calls == []
+    (bdir / "deep.json").write_text("[" * 100_000)
+    code, out, err = _run(capsys, ["audit", bdir])
+    assert (code, out) == (2, "") and "nested too deeply" in err
 
 
 def test_audit_failed_base_estimate_gives_error_rows(bodies, tmp_path, capsys,
