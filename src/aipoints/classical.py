@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceFailure
-from .geometry import ConvexPolygon
+from .geometry import ConvexPolygon, binary_exponent
 
 __all__ = ["john_center", "john_ellipse"]
 
@@ -79,11 +79,17 @@ def _grad_hess(theta: np.ndarray, z0, maps, mu: float):
 def john_ellipse(poly: ConvexPolygon) -> tuple[np.ndarray, np.ndarray]:
     """Center and SPD shape matrix of the maximum-area inscribed ellipse.
 
+    The solver's tolerances are absolute, so it runs on the body scaled by
+    2^-e (see geometry.binary_exponent) and the ellipse is scaled back by
+    2^e, both exactly.
+
     Raises
     ------
     ConvergenceFailure
         If the iteration cap is exhausted before the barrier ladder finishes.
     """
+    e = binary_exponent(poly.vertices)
+    poly = ConvexPolygon(np.ldexp(poly.vertices, -e))
     z0, maps = _cones(poly)
     c0 = np.array(poly.centroid)
     r0 = 0.5 * float(np.min(z0[:, 0] + maps[:, 0, 3:] @ c0))  # half the least slack at c0
@@ -119,7 +125,7 @@ def john_ellipse(poly: ConvexPolygon) -> tuple[np.ndarray, np.ndarray]:
             if alpha * float(np.linalg.norm(step)) < 1e-15:
                 break
     a, b, d, cx, cy = theta
-    return np.array([cx, cy]), np.array([[a, b], [b, d]])
+    return np.ldexp([cx, cy], e), np.ldexp([[a, b], [b, d]], e)
 
 
 def john_center(poly: ConvexPolygon) -> np.ndarray:

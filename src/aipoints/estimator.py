@@ -11,9 +11,11 @@ covers the translation support of the weight.  Weights are the constant Haar
 mass times the disk mass.  Most draws miss the support (97.6% at R = 16).
 A hit needs x inside the rectangle |<x, u1>| <= R_L + e^t R_K, |<x, u2>| <=
 R_L + e^-t R_K about the columns u1, u2 of R(theta1), so the draws outside
-it (about 95% at R = 16) are dropped before M is decoded or x formed.  The
-kernel would clip them to exactly 0.0 (see _reaches_l), so the kept rows
-give the same bytes as evaluating every draw.  phi(v) = M v + x is linear
+it (about 95% at R = 16) are dropped before M is decoded or x formed.  Most
+of them (about 87% of all draws at R = 16) fall outside a wedge about u1
+that holds the rectangle and are dropped before any cos/sin.  The kernel
+would clip the dropped draws to exactly 0.0 (see _reaches_l), so the kept
+rows give the same bytes as evaluating every draw.  phi(v) = M v + x is linear
 in z = (M, x, 1), so the sampling loop sums moments of z over the hits, and
 the ratio, its delta-method standard errors and the ESS are read out of them
 once per run for the anchor.  One R-doubling rerun with fresh samples
@@ -28,9 +30,13 @@ estimate_tk run with its k at the same seed.  That memo holds one block of
 
 Sampling is split over a fixed number of seeded substreams combined in stream
 order, so results are bitwise the same for a fixed seed at any thread count.
-A batch has at most _BATCH rows: a longer substream draws in pieces, and
-consecutive substreams of at most _BATCH rows in all share one batch.  Threads
-consume these groups, so a run of at most _BATCH samples uses one thread.
+A round draws at most _BATCH rows: a longer substream draws in pieces, and
+consecutive pieces share a round while they fit.  The kept draws of
+successive rounds are pooled and evaluated as one batch once the next round
+would take the pool past _POOL rows, so a default estimate makes about five
+kernel calls.  Each thread takes one contiguous run of substreams, one run
+per thread up to one per _BATCH samples, so a run of at most _BATCH samples
+uses one thread.
 """
 
 from __future__ import annotations
@@ -66,8 +72,9 @@ DEFAULT_K = 4           # integrability floor used as the default exponent
 # has |det M| - 1 of about 0.5 R^2 eps, 1.1e-8 at 1e4: 100x inside the 1e-6
 # that VolumePreservingAffineMap accepts, so det M keeps the reflection's sign.
 MAX_RADIUS = 1e4
-STREAM_COUNT = 16       # fixed substream split; threads consume groups
-_BATCH = 16_384         # most rows evaluated in one batch
+STREAM_COUNT = 16       # fixed substream split; threads take contiguous runs
+_BATCH = 16_384         # most draws in one round
+_POOL = 4_096           # kept rows pooled before a batch is evaluated
 _MIN_SUPPORT_HITS = 100
 
 SWEEP_CSV_HEADER = ("k", "value_x", "value_y", "se_x", "se_y", "err_to_v")
@@ -143,53 +150,87 @@ def _finite(est: PointEstimate) -> PointEstimate:
 def _stream_partial(ctx: WeightContext, ks: tuple[int, ...], radius: float,
                     seed_seqs: list[np.random.SeedSequence],
                     counts: list[int]) -> np.ndarray:
-    """Moments of the maps (M, x) of a group of substreams, one row each,
-    with one block of 57 columns per exponent k of ``ks``.
+    """Moments of the maps (M, x) of a run of substreams, one row each, with
+    one block of 57 columns per exponent k of ``ks``.
 
     A block holds sum a z (7 columns), sum a^2 z z^T (49, row-major) and the
     hit count, where a = w F^k is the importance weight and z = (M11, M12,
     M21, M22, x1, x2, 1); phi(v) = M v + x is linear in z, so a row serves
     every anchor.  Only hits (F > 0) are summed: a miss has a = 0, and most
     draws miss.  Each substream draws from its own generator in pieces of at
-    most _BATCH rows (Cartan coordinates, then the disk in polar form).  The
-    pieces of one round are evaluated as one batch and each row is summed
-    over its own substream's slice, so the rows do not depend on the
-    grouping.  Only the draws that _reaches_l keeps are decoded and
-    evaluated; the rest would clip to exactly 0.0.  The draws and the clip
-    do not depend on k, so every k reads the same hits, and each block has
-    the bytes of a call with that k alone.
+    most _BATCH rows (Cartan coordinates, then the disk in polar form), and
+    consecutive pieces share a round of at most _BATCH draws.  Each round
+    keeps only the draws that _reaches_l flags; the rest would clip to
+    exactly 0.0.  The kept draws of successive rounds are pooled, and a pool
+    is decoded and evaluated as one batch once the next round would take it
+    past _POOL rows.  Each row is summed over its own (substream, piece)
+    slices in draw order, so the rows do not depend on the rounds or the
+    pools.  The draws and the clip do not depend on k, so every k reads the
+    same hits, and each block has the bytes of a call with that k alone.
     """
     rngs = [np.random.default_rng(seq) for seq in seed_seqs]
     mass = truncated_mass(radius)
     reach = ctx.R_K + ctx.R_L
     sums = np.zeros((len(counts), 57 * len(ks)))
-    done = 0
-    while done < max(counts):
-        sizes = [min(_BATCH, max(count - done, 0)) for count in counts]
-        draws = [(*_sample_cartan(radius, rng, m), *_sample_disk(rng, m))
-                 for rng, m in zip(rngs, sizes)]
+    # one entry per round: its substreams, the kept rows of each of its
+    # pieces, then the kept draws (th1, t, th2, refl, r, ang, rho)
+    pool, pooled = [], 0
+    for pieces in _rounds(counts):
+        draws = [(*_sample_cartan(radius, rngs[i], m), *_sample_disk(rngs[i], m))
+                 for i, m in pieces]
         th1, t, th2, refl, r, ang = (_joined(parts) for parts in zip(*draws))
         et = np.exp(t)
         rho = et * reach            # translation_support_radius(ctx, M)
         kept = np.flatnonzero(_reaches_l(ctx, th1, et, rho * r, ang))
-        mats = _decode_cartan(th1[kept], t[kept], th2[kept], refl[kept])
-        r, ang, rho = r[kept], ang[kept], rho[kept]
-        xs = rho[:, None] * np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
-        f = evaluate_weights_batch(ctx, mats, xs)
-        hit = np.flatnonzero(f)
-        z = np.column_stack([mats[hit].reshape(-1, 4), xs[hit], np.ones(len(hit))])
-        w = mass * np.pi * rho[hit] * rho[hit]
-        f = f[hit]
-        ends = np.searchsorted(kept[hit], np.cumsum(sizes))
-        for block, k in enumerate(ks):
-            a = w * f ** k
-            az = a[:, None] * z
-            for row, lo, hi in zip(sums[:, 57 * block:57 * (block + 1)],
-                                   [0, *ends[:-1]], ends):
-                row += (*(a[lo:hi] @ z[lo:hi]), *(az[lo:hi].T @ az[lo:hi]).ravel(),
-                        hi - lo)
-        done += _BATCH
+        if pool and pooled + len(kept) > _POOL:
+            _add_moments(sums, ctx, ks, mass, pool)
+            pool, pooled = [], 0
+        ends = np.searchsorted(kept, np.cumsum([m for _, m in pieces]))
+        pool.append(([i for i, _ in pieces], np.diff(ends, prepend=0),
+                     *(part[kept] for part in (th1, t, th2, refl, r, ang, rho))))
+        pooled += len(kept)
+    _add_moments(sums, ctx, ks, mass, pool)
     return sums
+
+
+def _rounds(counts: list[int]) -> list[list[tuple[int, int]]]:
+    """The (substream, size) pieces of a run in draw order, packed into
+    rounds: a substream draws in pieces of at most _BATCH, and consecutive
+    pieces share a round while it holds at most _BATCH draws."""
+    rounds, size = [], _BATCH       # a full round: the first piece opens one
+    for i, count in enumerate(counts):
+        for done in range(0, count, _BATCH):
+            m = min(_BATCH, count - done)
+            if size + m > _BATCH:
+                rounds.append([])
+                size = 0
+            rounds[-1].append((i, m))
+            size += m
+    return rounds
+
+
+def _add_moments(sums: np.ndarray, ctx: WeightContext, ks: tuple[int, ...],
+                 mass: float, pool: list) -> None:
+    """Decode and evaluate a pool of kept draws as one batch and add each
+    (substream, piece) slice of its hits to that substream's row of sums."""
+    streams = [i for part in pool for i in part[0]]
+    sizes = np.concatenate([part[1] for part in pool])
+    th1, t, th2, refl, r, ang, rho = (_joined(parts) for parts in
+                                      zip(*(part[2:] for part in pool)))
+    mats = _decode_cartan(th1, t, th2, refl)
+    xs = rho[:, None] * np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
+    f = evaluate_weights_batch(ctx, mats, xs)
+    hit = np.flatnonzero(f)
+    z = np.column_stack([mats[hit].reshape(-1, 4), xs[hit], np.ones(len(hit))])
+    w = mass * np.pi * rho[hit] * rho[hit]
+    f = f[hit]
+    ends = np.searchsorted(hit, np.cumsum(sizes))
+    for block, k in enumerate(ks):
+        a = w * f ** k
+        az = a[:, None] * z
+        for i, lo, hi in zip(streams, [0, *ends[:-1]], ends):
+            sums[i, 57 * block:57 * (block + 1)] += (
+                *(a[lo:hi] @ z[lo:hi]), *(az[lo:hi].T @ az[lo:hi]).ravel(), hi - lo)
 
 
 def _reaches_l(ctx: WeightContext, theta1: np.ndarray, et: np.ndarray,
@@ -200,16 +241,31 @@ def _reaches_l(ctx: WeightContext, theta1: np.ndarray, et: np.ndarray,
     A hit has x = l - M y with l in L and y in K.  With u1, u2 the columns
     of R(theta1), <M y, u1> = et <y, w1> and <M y, u2> = <y, w2> / et for
     unit w1, w2, so |<x, u1>| <= R_L + et R_K and |<x, u2>| <= R_L + R_K / et;
-    <x, u1> and <x, u2> are radial cos(ang - theta1) and radial
-    sin(ang - theta1).  A draw outside that rectangle by the relative slack
-    SEP_GAP et^2 leaves phi^{-1}(L) at least SEP_GAP et^2 R_K from K, far
-    above the round-off of the kernel's subject coordinates (about
-    eps et^2 (R_K + R_L)), so the kernel would clip it to exactly 0.0.
+    <x, u1> and <x, u2> are radial cos(d) and radial sin(d) with d = ang -
+    theta1.  A draw outside that rectangle by the relative slack SEP_GAP et^2
+    leaves phi^{-1}(L) at least SEP_GAP et^2 R_K from K, far above the
+    round-off of the kernel's subject coordinates (about eps et^2 (R_K +
+    R_L)), so the kernel would clip it to exactly 0.0.
+
+    The rectangle is tested with cos and sin only inside a wedge about the
+    u1 axis: |sin d| >= (2/pi) dist(d, pi Z), so a draw in the rectangle has
+    dist(d, pi Z) radial <= (pi/2) (R_L + R_K / et) slack.  One slack, that
+    of the largest et, serves every draw, and a relative margin of 1e-9 plus
+    an absolute 1e-12 covers the round-off of both sides, so the wedge
+    drops no draw that the rectangle keeps, and the mask is that of the
+    rectangle alone.
     """
     d = ang - theta1
+    narrow = ctx.R_L + ctx.R_K / et
+    wedge = 0.5 * np.pi * (1.0 + 1e-9) * (1.0 + SEP_GAP * et.max(initial=1.0) ** 2)
+    near = np.flatnonzero(np.abs(d - np.pi * np.rint(d / np.pi)) * radial
+                          <= wedge * narrow + 1e-12)
+    d, et, radial, narrow = d[near], et[near], radial[near], narrow[near]
     slack = 1.0 + SEP_GAP * et * et
-    return ((np.abs(radial * np.cos(d)) <= (ctx.R_L + et * ctx.R_K) * slack)
-            & (np.abs(radial * np.sin(d)) <= (ctx.R_L + ctx.R_K / et) * slack))
+    keep = np.zeros(len(ang), dtype=bool)
+    keep[near] = ((np.abs(radial * np.cos(d)) <= (ctx.R_L + et * ctx.R_K) * slack)
+                  & (np.abs(radial * np.sin(d)) <= narrow * slack))
+    return keep
 
 
 def _joined(parts: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -221,20 +277,25 @@ def _moment_totals(ctx: WeightContext, ks: tuple[int, ...], samples: int,
                    radius: float, seed_seq: np.random.SeedSequence,
                    threads: int) -> np.ndarray:
     """The 57-column moment block of one run for each k of ``ks``, side by
-    side, each summed over the substreams in stream order."""
+    side, each summed over the substreams in stream order.
+
+    Each worker takes one contiguous run of substreams, with one job per
+    thread up to one per _BATCH samples: at one thread, and for a run of at
+    most _BATCH samples at any thread count, one _stream_partial call draws
+    the whole run."""
     streams = seed_seq.spawn(STREAM_COUNT)
     base, extra = divmod(samples, STREAM_COUNT)
     counts = [base + (1 if i < extra else 0) for i in range(STREAM_COUNT)]
-    # counts[0] is the largest; a substream longer than _BATCH runs alone
-    per_group = max(1, _BATCH // counts[0])
-    groups = [slice(i, i + per_group) for i in range(0, STREAM_COUNT, per_group)]
+    jobs = min(threads, -(-samples // _BATCH), STREAM_COUNT)
+    cuts = [STREAM_COUNT * j // jobs for j in range(jobs + 1)]
 
-    def job(group: slice) -> np.ndarray:
-        return _stream_partial(ctx, ks, radius, streams[group], counts[group])
+    def job(lo: int, hi: int) -> np.ndarray:
+        return _stream_partial(ctx, ks, radius, streams[lo:hi], counts[lo:hi])
 
     # the pool starts a thread only on its first submit
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = np.concatenate(list((pool.map if threads > 1 else map)(job, groups)))
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        rows = np.concatenate(list((pool.map if jobs > 1 else map)(
+            job, cuts[:-1], cuts[1:])))
     return rows.sum(axis=0)         # in stream order, one row after another
 
 

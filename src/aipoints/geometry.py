@@ -6,12 +6,14 @@ their vertex arrays agree within tolerance.  Clipping puts a subject edge
 whose ends lie within an absolute 1e-12 of a clip edge's line on that line:
 it counts as inside the clip (closed) unless the two run anti-parallel, and
 the clip edge counts as outside the subject (strict).  Bodies are expected
-to live at unit scale.
+to live at unit scale; the area and centroid of a smaller body are summed on
+it scaled up by a power of two, which is exact.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -30,6 +32,7 @@ __all__ = [
 EDGE_EPS = 1e-12        # on-edge classification for clipping
 AREA_CLAMP = 1e-14      # intersection areas below this count as empty
 SEP_GAP = 1e-9          # miss-prefilter gap: 1000x EDGE_EPS, so a flagged row clips to 0
+_MIN_NORMAL = np.finfo(float).tiny
 _DIM = 2
 
 
@@ -48,27 +51,36 @@ class ConvexPolygon:
             raise DegenerateBody("need at least 3 planar vertices")
         if not np.all(np.isfinite(verts)):
             raise DegenerateBody("non-finite vertex coordinates")
-        nxt = np.roll(verts, -1, axis=0)
-        nxt2 = np.roll(verts, -2, axis=0)
-        # an overflow here leaves a non-finite area or centroid, refused below
+        # a body below unit scale is summed scaled up by 2^-e, which is
+        # exact, so its products do not underflow; a larger body is summed
+        # as it is, and an overflow leaves a non-finite area or centroid,
+        # refused below
+        e = min(binary_exponent(verts), 0)
+        unit = np.ldexp(verts, -e) if e else verts
+        nxt = np.roll(unit, -1, axis=0)
+        nxt2 = np.roll(unit, -2, axis=0)
         with np.errstate(over="ignore", invalid="ignore"):
-            cross = _cross(nxt - verts, nxt2 - nxt)
+            cross = _cross(nxt - unit, nxt2 - nxt)
             if np.any(cross <= 0.0):
                 raise DegenerateBody("vertices are not strictly convex counterclockwise")
             # shoelace sums about the first vertex, so a body far from the
             # origin relative to its size keeps its area and centroid
-            u = verts - verts[0]
+            u = unit - unit[0]
             unxt = np.roll(u, -1, axis=0)
             fan = u[:, 0] * unxt[:, 1] - unxt[:, 0] * u[:, 1]
             area2 = np.sum(fan)
             if area2 <= 0.0:
                 raise DegenerateBody("polygon area is not positive")
-            self.area = 0.5 * area2
             cx = np.sum((u[:, 0] + unxt[:, 0]) * fan)
             cy = np.sum((u[:, 1] + unxt[:, 1]) * fan)
-            self.centroid = verts[0] + np.array([cx, cy]) / (6.0 * self.area)
+            self.area = 0.5 * area2
+            self.centroid = unit[0] + np.array([cx, cy]) / (6.0 * self.area)
+        if e:
+            self.area, self.centroid = np.ldexp(self.area, 2 * e), np.ldexp(self.centroid, e)
         if not np.isfinite([self.area, *self.centroid]).all():
             raise DegenerateBody("polygon area or centroid overflows")
+        if self.area < _MIN_NORMAL:     # subnormal: too few bits to normalize
+            raise DegenerateBody("polygon area underflows")
         self.centroid.setflags(write=False)
         verts = verts.copy()
         verts.setflags(write=False)
@@ -79,6 +91,13 @@ class ConvexPolygon:
 
     def __repr__(self) -> str:
         return f"ConvexPolygon({self.vertices.tolist()})"
+
+
+def binary_exponent(vertices: np.ndarray) -> int:
+    """The power of two e that brings the largest vertex coordinate to
+    [0.5, 1) in magnitude: scaling a body by 2^-e and its results back by
+    2^e is exact, so code that expects unit scale can serve any body."""
+    return math.frexp(float(np.abs(vertices).max()))[1]
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -75,8 +75,8 @@ def _sample_disk(rng: np.random.Generator,
     """Uniform draws from the unit disk in polar form: (r, angle) arrays,
     the point being (r cos(angle), r sin(angle)).  Call order (radius,
     angle) is fixed.  Polar draws let the estimator test a draw against the
-    weight's support with one cos/sin pair and form x only for the draws
-    that pass."""
+    weight's support with at most one cos/sin pair and form x only for the
+    draws that pass."""
     r = np.sqrt(rng.random(n))
     ang = rng.random(n) * (2.0 * np.pi)
     return r, ang

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBody
-from .geometry import ConvexPolygon
+from .geometry import ConvexPolygon, binary_exponent
 from .unimodular import VolumePreservingAffineMap
 
 __all__ = ["FixedSet", "SymmetryReport", "automorphism_group", "fixed_points",
@@ -71,8 +71,13 @@ def automorphism_group(poly: ConvexPolygon) -> SymmetryReport:
 
     Candidate orthogonal maps of the whitened polygon are verified vertexwise
     within 1e-8; the group is reported as trivial, cyclic(m) or dihedral(m)
-    with the conjugated affine maps included.
+    with the conjugated affine maps included.  The search runs on the body
+    scaled by 2^-e (see geometry.binary_exponent), so the moments neither
+    overflow nor underflow, and the fixed set and the maps' translations are
+    scaled back by 2^e, both exactly.
     """
+    e = binary_exponent(poly.vertices)
+    poly = ConvexPolygon(np.ldexp(poly.vertices, -e))
     c = poly.centroid
     cov = _second_moment(poly)
     w = _sym_inv_sqrt(cov)
@@ -114,18 +119,18 @@ def automorphism_group(poly: ConvexPolygon) -> SymmetryReport:
     if order == 1:
         fixed = FixedSet(kind="whole-plane")
     elif m >= 2:
-        fixed = FixedSet(kind="single-point", point=c.copy())
+        fixed = FixedSet(kind="single-point", point=np.ldexp(c, e))
     else:
         # exactly one reflection and no nontrivial rotation: a fixed line
         axis_whitened = _reflection_axis(reflections[0])
         direction = winv @ axis_whitened
         direction = direction / np.linalg.norm(direction)
-        fixed = FixedSet(kind="line", point=c.copy(), direction=direction)
+        fixed = FixedSet(kind="line", point=np.ldexp(c, e), direction=direction)
 
     maps = []
     for g in rotations + reflections:
         lin = winv @ g @ w
-        maps.append(VolumePreservingAffineMap(lin, c - lin @ c))
+        maps.append(VolumePreservingAffineMap(lin, np.ldexp(c - lin @ c, e)))
     return SymmetryReport(order=order, kind=kind, fixed_set=fixed,
                           maps=tuple(maps))
 

@@ -19,7 +19,10 @@ transform before it took the maps themselves), and one estimator run that
 sums a phi(v) for its anchor and evaluates every substream as its own batch
 (``per_stream_run``, the library's run before it grouped substreams,
 summed moments of (M, x) instead and skipped the draws whose translation
-cannot reach L; it evaluates every draw).  Linear group elements are plain
+cannot reach L; it evaluates every draw), and the plain rectangle test of
+the draws that may reach L (``rectangle_mask``, the library's
+``_reaches_l`` before it ruled draws out in a wedge first, with one
+``cos``/``sin`` pair per draw).  Linear group elements are plain
 2x2 arrays, as in the library; ``rotation``, ``stretch`` and ``inverse``
 build and invert them.
 """
@@ -33,7 +36,7 @@ from scipy.spatial import cKDTree
 from aipoints import (AipointsError, ConvexPolygon, DegenerateWeights,
                       evaluate_weights_batch, singular_values)
 from aipoints.estimator import _BATCH, _MIN_SUPPORT_HITS, STREAM_COUNT
-from aipoints.geometry import AREA_CLAMP, EDGE_EPS, batch_intersection_area
+from aipoints.geometry import AREA_CLAMP, EDGE_EPS, SEP_GAP, batch_intersection_area
 from aipoints.haar import _decode_cartan, _sample_cartan, _sample_disk, truncated_mass
 
 
@@ -603,3 +606,15 @@ def per_stream_run(ctx, anchor: np.ndarray, k: int, samples: int,
     std_error = np.sqrt(np.maximum(var, 0.0))
     ess = s_a * s_a / s_a2
     return value, std_error, ess, n_pos
+
+
+def rectangle_mask(ctx, theta1: np.ndarray, et: np.ndarray,
+                   radial: np.ndarray, ang: np.ndarray) -> np.ndarray:
+    """``estimator._reaches_l`` with one cos/sin pair of ang - theta1 per
+    draw: |<x, u1>| <= (R_L + et R_K) slack and |<x, u2>| <= (R_L + R_K /
+    et) slack, slack = 1 + SEP_GAP et^2, about the columns u1, u2 of
+    R(theta1)."""
+    d = ang - theta1
+    slack = 1.0 + SEP_GAP * et * et
+    return ((np.abs(radial * np.cos(d)) <= (ctx.R_L + et * ctx.R_K) * slack)
+            & (np.abs(radial * np.sin(d)) <= (ctx.R_L + ctx.R_K / et) * slack))

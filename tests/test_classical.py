@@ -165,6 +165,18 @@ def test_john_far_from_origin(quad_raw, unit_square):
     assert oracles.contains(tiny.vertices, c[None])[0]
 
 
+
+def test_john_center_at_extreme_scales():
+    # the solver runs on the body scaled by a power of two; at legs of 1e100
+    # its Hessian overflowed, at 1e-120 it divided by zero and returned
+    # [0, 0].  The John centre of a triangle is its centroid
+    for s in (1e100, 1e-100, 1e-120):
+        body = canonicalize([[0, 0], [s, 0], [0, s]])
+        with np.errstate(all="raise"):
+            center = john_center(body)
+        assert np.allclose(center, body.centroid, rtol=1e-9, atol=0), s
+
+
 def test_grad_hess_matches_central_differences(rng):
     # Units of r, half the least edge slack at the centroid: A = r R diag(1.3,
     # 0.7) R^T and |c - centroid| <= 0.3 r keep every s_i >= 1.7 and every

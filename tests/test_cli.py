@@ -225,6 +225,23 @@ def test_point_exit_codes(bodies, tmp_path, capsys):
     assert (code, out) == (2, "") and "nested too deeply" in err
 
 
+def test_bodies_far_from_unit_scale(capsys, tmp_path):
+    # symmetry on a triangle with legs 1e100 used to end in an IndexError,
+    # and at 1e-120 to exit 4 ("covariance not positive definite"), while
+    # point --rule centroid or john printed [0.0, 0.0] for the centre near
+    # 3.3e-121
+    for scale in (1e100, 1e-120):
+        path = tmp_path / f"tri{scale:g}.json"
+        path.write_text(json.dumps({"vertices": [[0, 0], [scale, 0], [0, scale]]}))
+        code, out, err = _run(capsys, ["symmetry", path])
+        assert code == 0 and json.loads(out)["kind"] == "dihedral(3)", scale
+        for rule in ("centroid", "john"):
+            code, out, err = _run(capsys, ["point", path, "--rule", rule])
+            assert code == 0 and len(err.splitlines()) == 1, (scale, rule)
+            assert np.allclose(json.loads(out)["value"], scale / 3.0,
+                               rtol=1e-9, atol=0), (scale, rule)
+
+
 ERROR_CLASSES = [cls for cls in vars(aipoints.errors).values()
                  if isinstance(cls, type) and issubclass(cls, AipointsError)]
 

@@ -15,7 +15,8 @@ import pytest
 
 import aipoints.estimator
 from aipoints.estimator import MAX_RADIUS
-from aipoints.haar import _decode_cartan, _sample_cartan
+from aipoints.geometry import SEP_GAP
+from aipoints.haar import _decode_cartan, _sample_cartan, _sample_disk
 from aipoints import (
     AnchorOutsideFixedSet,
     ConfigError,
@@ -316,14 +317,46 @@ def test_covering_disk_holds_the_weight_support(q0u, monkeypatch):
 
 
 def test_thread_count_is_bitwise_invisible(q0u):
-    cfg = EstimatorConfig(k=4, samples=30_000, R=4.0, seed=9)
-    runs = [estimate_tk_unit(q0u, Q0_ANCHOR, q0u, cfg, threads=n)
-            for n in (1, 3, 8)]
-    for other in runs[1:]:
-        assert np.array_equal(runs[0].value, other.value)
-        assert np.array_equal(runs[0].std_error, other.std_error)
-        assert runs[0].ess == other.ess
-        assert runs[0].r_stability == other.r_stability
+    # 270,000 samples split into 16 jobs, one per substream, once there are
+    # 16 threads or more (17 > STREAM_COUNT)
+    for cfg in (EstimatorConfig(k=4, samples=30_000, R=4.0, seed=9),
+                EstimatorConfig(k=4, samples=270_000, seed=9,
+                                r_doubling_rounds=0)):
+        runs = [estimate_tk_unit(q0u, Q0_ANCHOR, q0u, cfg, threads=n)
+                for n in (1, 2, 3, 8, 17)]
+        for other in runs[1:]:
+            assert np.array_equal(runs[0].value, other.value)
+            assert np.array_equal(runs[0].std_error, other.std_error)
+            assert runs[0].ess == other.ess
+            assert runs[0].r_stability == other.r_stability
+
+
+def test_threads_take_contiguous_runs_of_substreams(q0u, monkeypatch):
+    # one job per thread up to one per _BATCH samples and one per substream,
+    # each a contiguous run of substreams: a run of at most _BATCH samples is
+    # one _stream_partial call at any thread count, and so is any run at
+    # one thread
+    calls = []
+    real = aipoints.estimator._stream_partial
+
+    def spy(ctx, ks, radius, seed_seqs, counts):
+        calls.append(([seq.spawn_key[-1] for seq in seed_seqs], sum(counts)))
+        return real(ctx, ks, radius, seed_seqs, counts)
+
+    monkeypatch.setattr(aipoints.estimator, "_stream_partial", spy)
+    batch = aipoints.estimator._BATCH
+    for samples, threads, jobs in ((6_000, 17, 1), (batch, 2, 1),
+                                   (batch, 17, 1), (batch + 1, 17, 2),
+                                   (200_000, 1, 1), (200_000, 3, 3),
+                                   (300_000, 17, 16)):
+        calls.clear()
+        estimate_tk_unit(q0u, Q0_ANCHOR, q0u,
+                         EstimatorConfig(samples=samples, r_doubling_rounds=0),
+                         threads=threads)
+        assert len(calls) == jobs, (samples, threads)
+        order = [i for streams, _ in sorted(calls) for i in streams]
+        assert order == list(range(aipoints.estimator.STREAM_COUNT))
+        assert sum(drawn for _, drawn in calls) == samples
 
 
 def test_grouped_run_matches_per_stream_run(q0u):
@@ -404,6 +437,47 @@ def test_weight_vanishes_outside_the_rectangle(q0u):
         keep = aipoints.estimator._reaches_l(ctx, th1, et, radial,
                                              np.arctan2(xs[:, 1], xs[:, 0]))
         assert keep.all()
+
+
+def test_wedge_keeps_the_rectangle_mask(q0u):
+    # _reaches_l rules draws out in a wedge about the u1 axis before it
+    # takes any cos/sin; its mask must be that of the plain rectangle test,
+    # for sampled draws and for draws placed on a rectangle edge, scaled by
+    # 1 + j.  A quarter of the edge draws sit at the middle of an edge
+    # |<x, u2>| = R_L + R_K / et, where the wedge's bound is tight
+    ang = 2 * np.pi * np.arange(12) / 12
+    gon = normalize_to_unit_area(canonicalize(
+        np.stack([1.3 * np.cos(ang), np.sin(ang)], axis=1)))[0]
+    tri = normalize_to_unit_area(canonicalize([[0, 0], [1, 0], [0, 1]]))[0]
+    q0, gon, tri = (ConvexPolygon(b.vertices - b.centroid)
+                    for b in (q0u, gon, tri))
+    rng = np.random.default_rng(29)
+    n, m, drawn = 50_000, 25_000, 0
+    for K, L in ((q0, q0), (tri, q0), (q0, tri), (gon, gon)):
+        ctx = weight_context(K, L)
+        for radius in (2.0, 16.0, 32.0, 1e3, 1e4):
+            th1, t, _, _ = _sample_cartan(radius, rng, n)
+            r, ang = _sample_disk(rng, n)
+            et = np.exp(t)
+            radial = et * (ctx.R_K + ctx.R_L) * r
+            e = et[m:]
+            half = (np.stack([ctx.R_L + e * ctx.R_K, ctx.R_L + ctx.R_K / e], axis=1)
+                    * (1.0 + SEP_GAP * e * e)[:, None])
+            c = half * rng.uniform(-1.0, 1.0, (n - m, 2))
+            axis = rng.integers(0, 2, n - m)
+            c[: m // 4, 0], axis[: m // 4] = 0.0, 1
+            rows = np.arange(n - m)
+            j = rng.choice([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9], n - m)
+            c[rows, axis] = (np.where(rng.random(n - m) < 0.5, -1.0, 1.0)
+                             * half[rows, axis] * (1.0 + j))
+            radial[m:] = np.hypot(c[:, 0], c[:, 1])
+            ang[m:] = np.mod(th1[m:] + np.arctan2(c[:, 1], c[:, 0]), 2 * np.pi)
+            got = aipoints.estimator._reaches_l(ctx, th1, et, radial, ang)
+            ref = oracles.rectangle_mask(ctx, th1, et, radial, ang)
+            assert np.array_equal(got, ref), radius
+            assert ref[m:].any() and not ref[m:].all(), radius
+            drawn += n
+    assert drawn >= 1_000_000
 
 
 def test_grouping_keeps_moment_rows_bitwise(q0u):
@@ -487,25 +561,36 @@ def test_sweep_state_ends_with_the_call(q0u, monkeypatch):
 
 
 def test_substreams_share_batches(q0u, monkeypatch):
-    # a short run is one batch; at the default 200,000 samples a substream
-    # of 12,500 rows fills a group alone; at 300,000 a substream of 18,750
-    # rows draws in pieces of at most _BATCH = 16,384.  A batch evaluates
-    # only the draws that can reach L: at the default R = 16 about 5% of them
-    rows = []
+    # a short run is one batch.  A longer run draws in rounds of at most
+    # _BATCH draws and keeps only the draws that can reach L, at the default
+    # R = 16 about 5% of them; the kept rows of successive rounds are pooled
+    # and evaluated once the next round would take the pool past _POOL rows,
+    # so 200,000 samples take a few batches, and no batch is larger than
+    # _POOL or the kept rows of one round
+    rows, kept = [], []
+    real = aipoints.estimator._reaches_l
 
     def spy(ctx, mats, xs):
         rows.append(len(xs))
         return evaluate_weights_batch(ctx, mats, xs)
 
+    def reach_spy(*args):
+        mask = real(*args)
+        kept.append(np.count_nonzero(mask))
+        return mask
+
     monkeypatch.setattr(aipoints.estimator, "evaluate_weights_batch", spy)
-    for samples, drawn in ((6_000, [6_000]), (200_000, [12_500] * 16),
-                           (300_000, [16_384, 2_366] * 16)):
+    monkeypatch.setattr(aipoints.estimator, "_reaches_l", reach_spy)
+    for samples, calls in ((6_000, 1), (200_000, 8), (300_000, None)):
         rows.clear()
+        kept.clear()
         estimate_tk_unit(q0u, Q0_ANCHOR, q0u,
                          EstimatorConfig(samples=samples, r_doubling_rounds=0))
-        assert len(rows) == len(drawn), samples
-        assert all(0 < got <= cap for got, cap in zip(rows, drawn)), samples
-        assert sum(rows) < 0.1 * samples, samples
+        assert calls is None or 0 < len(rows) <= calls, samples
+        cap = max(aipoints.estimator._POOL, max(kept))
+        assert all(0 < got <= cap for got in rows), samples
+        assert sum(rows) == sum(kept) < 0.1 * samples, samples
+    assert len(kept) == 32      # pieces of 16,384 and 2,366 rows
 
 
 def test_seed_reproducibility(q0u):

@@ -102,6 +102,20 @@ def test_area_centroid_far_from_origin(quad_raw, unit_square):
     assert oracles.contains(tiny.vertices, tiny.centroid[None])[0]
 
 
+
+def test_area_centroid_at_extreme_scales(quad_raw, triangle):
+    # a body below unit scale is summed scaled up by a power of two, so the
+    # centroid of a triangle with legs 1e-110 or smaller no longer
+    # underflows to [0, 0]; an area below the normal range is refused
+    for unit in (triangle, quad_raw):
+        for s in (1e100, 1e-100, 1e-120):
+            body = canonicalize(s * unit.vertices)
+            assert np.allclose(body.centroid, s * unit.centroid, rtol=1e-15, atol=0)
+            assert body.area == pytest.approx(s * s * unit.area, rel=1e-15)
+    with pytest.raises(DegenerateBody, match="underflows"):
+        canonicalize([[0, 0], [1e-160, 0], [0, 1e-160]])
+
+
 def test_area_centroid_vs_rejection_oracle(quad_raw, rng):
     a = oracles.mc_area(quad_raw.vertices, rng, n=1_000_000)
     se_a = 1.43 * np.sqrt(0.724 * 0.276 / 1_000_000)

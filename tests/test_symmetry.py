@@ -46,6 +46,21 @@ def test_square_group(unit_square):
     assert len(rep.maps) == 8
 
 
+
+def test_triangle_group_at_extreme_scales():
+    # the search runs on the body scaled by a power of two: legs of 1e100
+    # used to end in an IndexError, legs of 1e-120 in "covariance not
+    # positive definite"
+    for s in (1e100, 1e-100, 1e-120):
+        body = canonicalize([[0, 0], [s, 0], [0, s]])
+        report = automorphism_group(body)
+        assert (report.kind, report.order) == ("dihedral(3)", 6), s
+        assert np.allclose(report.fixed_set.point, body.centroid, rtol=1e-15, atol=0)
+        for g in report.maps:
+            assert hausdorff_distance(canonicalize(g.apply(body.vertices)),
+                                      body) <= 1e-9 * s
+
+
 def test_triangle_group(triangle):
     # any triangle is an affine image of the equilateral one, so the affine
     # group is the full vertex-permutation group
