@@ -33,6 +33,7 @@ EDGE_EPS = 1e-12        # on-edge classification for clipping
 AREA_CLAMP = 1e-14      # intersection areas below this count as empty
 SEP_GAP = 1e-9          # miss-prefilter gap: 1000x EDGE_EPS, so a flagged row clips to 0
 _MIN_NORMAL = np.finfo(float).tiny
+_SUM_EXP = 256          # the centroid's sums cube the coordinates: 2^768 fits
 _DIM = 2
 
 
@@ -51,11 +52,14 @@ class ConvexPolygon:
             raise DegenerateBody("need at least 3 planar vertices")
         if not np.all(np.isfinite(verts)):
             raise DegenerateBody("non-finite vertex coordinates")
-        # a body below unit scale is summed scaled up by 2^-e, which is
-        # exact, so its products do not underflow; a larger body is summed
-        # as it is, and an overflow leaves a non-finite area or centroid,
-        # refused below
-        e = min(binary_exponent(verts), 0)
+        # a body below unit scale or above 2^_SUM_EXP is summed scaled by
+        # 2^-e, which is exact, so its products neither underflow nor
+        # overflow; one in between is summed as it is, which gives the same
+        # bytes without the scaling.  An area or centroid too large to
+        # scale back is non-finite and refused below
+        e = binary_exponent(verts)
+        if 0 <= e <= _SUM_EXP:
+            e = 0
         unit = np.ldexp(verts, -e) if e else verts
         nxt = np.roll(unit, -1, axis=0)
         nxt2 = np.roll(unit, -2, axis=0)
@@ -76,7 +80,9 @@ class ConvexPolygon:
             self.area = 0.5 * area2
             self.centroid = unit[0] + np.array([cx, cy]) / (6.0 * self.area)
         if e:
-            self.area, self.centroid = np.ldexp(self.area, 2 * e), np.ldexp(self.centroid, e)
+            with np.errstate(over="ignore"):
+                self.area = np.ldexp(self.area, 2 * e)
+                self.centroid = np.ldexp(self.centroid, e)
         if not np.isfinite([self.area, *self.centroid]).all():
             raise DegenerateBody("polygon area or centroid overflows")
         if self.area < _MIN_NORMAL:     # subnormal: too few bits to normalize

@@ -22,7 +22,11 @@ summed moments of (M, x) instead and skipped the draws whose translation
 cannot reach L; it evaluates every draw), and the plain rectangle test of
 the draws that may reach L (``rectangle_mask``, the library's
 ``_reaches_l`` before it ruled draws out in a wedge first, with one
-``cos``/``sin`` pair per draw).  Linear group elements are plain
+``cos``/``sin`` pair per draw), and the inscribed-ellipse solver that
+centres every level of its mu ladder to a Newton decrement of 1e-18, with
+no predictor step, on the body as it is (``ladder_john_ellipse``, the
+library's ``john_ellipse`` before it followed the central path in the
+body's isotropic position).  Linear group elements are plain
 2x2 arrays, as in the library; ``rotation``, ``stretch`` and ``inverse``
 build and invert them.
 """
@@ -36,7 +40,9 @@ from scipy.spatial import cKDTree
 from aipoints import (AipointsError, ConvexPolygon, DegenerateWeights,
                       evaluate_weights_batch, singular_values)
 from aipoints.estimator import _BATCH, _MIN_SUPPORT_HITS, STREAM_COUNT
-from aipoints.geometry import AREA_CLAMP, EDGE_EPS, SEP_GAP, batch_intersection_area
+from aipoints.classical import _MU_LADDER, _cones, _objective
+from aipoints.geometry import (AREA_CLAMP, EDGE_EPS, SEP_GAP, batch_intersection_area,
+                               binary_exponent)
 from aipoints.haar import _decode_cartan, _sample_cartan, _sample_disk, truncated_mass
 
 
@@ -618,3 +624,69 @@ def rectangle_mask(ctx, theta1: np.ndarray, et: np.ndarray,
     slack = 1.0 + SEP_GAP * et * et
     return ((np.abs(radial * np.cos(d)) <= (ctx.R_L + et * ctx.R_K) * slack)
             & (np.abs(radial * np.sin(d)) <= (ctx.R_L + ctx.R_K / et) * slack))
+
+
+_LORENTZ = np.array([1.0, -1.0, -1.0])
+
+
+def _ladder_grad_hess(theta, cones, mu):
+    a, b, d = theta[:3]
+    det = a * d - b * b
+    z = cones.z0 + cones.maps @ theta
+    phi = (z * z) @ _LORENTZ
+    grad = np.zeros(5)
+    hess = np.zeros((5, 5))
+    grad[:3] = np.array([d, -2.0 * b, a]) / det
+    hess[:3, :3] = np.array([
+        [-d * d, 2.0 * b * d, -b * b],
+        [2.0 * b * d, -2.0 * det - 4.0 * b * b, 2.0 * a * b],
+        [-b * b, 2.0 * a * b, -a * a],
+    ]) / (det * det)
+    # phi_i has gradient 2 D_i^T J z_i and Hessian 2 D_i^T J D_i, formed
+    # at every step
+    dlog = 2.0 * np.einsum("eki,ek->ei", cones.maps, z * _LORENTZ / phi[:, None])
+    curv = 2.0 * np.einsum("eki,k,ekj->ij", cones.maps / phi[:, None, None],
+                           _LORENTZ, cones.maps)
+    grad += mu * dlog.sum(axis=0)
+    hess += mu * (curv - dlog.T @ dlog)
+    return grad, hess
+
+
+def ladder_john_ellipse(poly: ConvexPolygon):
+    """Center and shape of the maximum-area inscribed ellipse by damped
+    Newton, warm-started down the library's mu ladder and centring every
+    level to a decrement of 1e-18 (or a stalled line search), on the body
+    scaled by 2^-e but not moved to isotropic position."""
+    e = binary_exponent(poly.vertices)
+    poly = ConvexPolygon(np.ldexp(poly.vertices, -e))
+    cones = _cones(poly.vertices)
+    c0 = np.array(poly.centroid)
+    r0 = 0.5 * float(np.min(cones.z0[:, 0] + cones.maps[:, 0, 3:] @ c0))
+    theta = np.array([r0, 0.0, r0, c0[0], c0[1]])
+    for mu in _MU_LADDER:
+        for _ in range(200):
+            grad, hess = _ladder_grad_hess(theta, cones, mu)
+            try:
+                step = np.linalg.solve(hess, -grad)
+            except np.linalg.LinAlgError:
+                step = grad
+            decrement = float(grad @ step)
+            if not np.isfinite(decrement) or decrement <= 0.0:
+                step = grad / max(np.linalg.norm(grad), 1.0)
+                decrement = float(grad @ step)
+            if decrement < 1e-18:
+                break
+            base = _objective(theta, cones, mu)
+            alpha = 1.0
+            for _ in range(60):
+                cand = theta + alpha * step
+                if _objective(cand, cones, mu) >= base + 0.25 * alpha * decrement:
+                    theta = cand
+                    break
+                alpha *= 0.5
+            else:
+                break
+            if alpha * float(np.linalg.norm(step)) < 1e-15:
+                break
+    a, b, d, cx, cy = theta
+    return np.ldexp([cx, cy], e), np.ldexp([[a, b], [b, d]], e)

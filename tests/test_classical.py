@@ -1,6 +1,10 @@
 """Centroid and inscribed-ellipse point rules: known values, feasibility,
 optimality, equivariance."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,8 @@ from aipoints import (
 
 import oracles
 from aipoints.classical import _cones, _grad_hess, _objective
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # max-area inscribed ellipse of the right triangle: area(T) / (3 sqrt(3))
 TRIANGLE_DET = 0.5 / (3.0 * np.sqrt(3.0))
@@ -177,6 +183,19 @@ def test_john_center_at_extreme_scales():
         assert np.allclose(center, body.centroid, rtol=1e-9, atol=0), s
 
 
+def test_john_thin_triangles():
+    # a triangle's John centre is its centroid.  The solver runs in the
+    # body's isotropic position; on the body as it is, the Newton systems of
+    # a triangle of aspect 1e5 reached condition numbers near 1e17 and the
+    # centre came out 1.7e-4 of the triangle's height off
+    turn = oracles.rotation(0.6435)
+    for height in (1e-3, 1e-5):
+        body = canonicalize([[0.0, 0.0], [1.0, 0.0], [0.9, height]] @ turn.T
+                            + [3.0, -2.0])
+        center = john_center(body)
+        assert np.linalg.norm(center - body.centroid) <= 1e-6 * height, height
+
+
 def test_grad_hess_matches_central_differences(rng):
     # Units of r, half the least edge slack at the centroid: A = r R diag(1.3,
     # 0.7) R^T and |c - centroid| <= 0.3 r keep every s_i >= 1.7 and every
@@ -186,17 +205,17 @@ def test_grad_hess_matches_central_differences(rng):
     h = 1e-4
     for _ in range(6):
         poly = _random_poly(rng)
-        z0, maps = _cones(poly)
+        cones = _cones(poly.vertices)
         centroid = np.array(poly.centroid)
-        r = 0.5 * float(np.min(z0[:, 0] + maps[:, 0, 3:] @ centroid))
+        r = 0.5 * float(np.min(cones.z0[:, 0] + cones.maps[:, 0, 3:] @ centroid))
         rot = oracles.rotation(rng.uniform(0.0, np.pi))
         amat = r * rot @ np.diag([1.3, 0.7]) @ rot.T
         c = centroid + 0.3 * r * rng.uniform(-0.7, 0.7, 2)
         theta = np.array([amat[0, 0], amat[0, 1], amat[1, 1], *c])
         for mu in (1.0, 1e-3):
             def f(t):
-                return _objective(theta + r * np.asarray(t), z0, maps, mu)
-            grad, hess = _grad_hess(theta, z0, maps, mu)
+                return _objective(theta + r * np.asarray(t), cones, mu)
+            grad, hess, _ = _grad_hess(theta, cones, mu)
             grad, hess = r * grad, r * r * hess     # derivatives in units of r
             eye = h * np.eye(5)
             fd_grad = np.array([(f(e) - f(-e)) / (2 * h) for e in eye])
@@ -210,3 +229,45 @@ def test_john_iteration_cap(triangle, monkeypatch):
     monkeypatch.setattr(aipoints.classical, "_MAX_ITER", 3)
     with pytest.raises(ConvergenceFailure, match="3-iteration cap"):
         john_ellipse(triangle)
+
+
+def test_john_final_level_must_converge(monkeypatch):
+    # a final level that runs out of steps used to return its last iterate
+    # silently; one step per level leaves the final decrement far above 1e-18
+    monkeypatch.setattr(aipoints.classical, "_LEVEL_ITER", 1)
+    with pytest.raises(ConvergenceFailure, match="final level"):
+        john_ellipse(_pentagon())
+
+
+def test_john_matches_ladder_reference(rng):
+    # the path-following solver and the ladder that centres every level to
+    # a decrement of 1e-18 reach the same optimum
+    for _ in range(200):
+        poly = _random_poly(rng)
+        c, a = john_ellipse(poly)
+        c_ref, a_ref = oracles.ladder_john_ellipse(poly)
+        scale = np.linalg.norm(a_ref, 2)
+        assert np.abs(c - c_ref).max() <= 1e-8 * scale
+        assert np.abs(a - a_ref).max() <= 1e-8 * scale
+
+
+def test_john_newton_steps_on_bench_bodies(monkeypatch):
+    # a count, not a timing: the ladder reference takes about 72 Newton steps
+    # per solve on the benchmark's audit bodies
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    calls = []
+    real = aipoints.classical._grad_hess
+
+    def spy(theta, cones, mu):
+        calls.append(mu)
+        return real(theta, cones, mu)
+
+    monkeypatch.setattr(aipoints.classical, "_grad_hess", spy)
+    bodies = workloads.audit_bodies(1)
+    for vertices in bodies.values():
+        john_ellipse(canonicalize(vertices))
+    assert len(bodies) == 5 and len(calls) <= 40 * len(bodies)

@@ -207,14 +207,13 @@ def test_point_exit_codes(bodies, tmp_path, capsys):
                                    "--anchor", "1e200,0", "--samples", "20000"])
     assert (code, out) == (4, "") and "not finite" in err
     assert len(err.splitlines()) == 1   # the error alone, no numpy warnings
-    # a body whose area (1e200) or centroid (1e150) overflows used to exit 0
-    # with NaN or Infinity, and symmetry ended in an IndexError
-    for scale in (1e200, 1e150):
-        huge = tmp_path / f"huge{scale:g}.json"
-        huge.write_text(json.dumps({"vertices": [[0, 0], [scale, 0], [0, scale]]}))
-        for rule in ("centroid", "john", "tk"):
-            code, out, err = _run(capsys, ["point", huge, "--rule", rule])
-            assert (code, out) == (4, "") and "overflows" in err, (scale, rule)
+    # a body whose area (1e400) overflows used to exit 0 with NaN or
+    # Infinity, and symmetry ended in an IndexError
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"vertices": [[0, 0], [1e200, 0], [0, 1e200]]}))
+    for rule in ("centroid", "john", "tk"):
+        code, out, err = _run(capsys, ["point", huge, "--rule", rule])
+        assert (code, out) == (4, "") and "overflows" in err, rule
         assert len(err.splitlines()) == 1
     code, out, err = _run(capsys, ["symmetry", huge])
     assert (code, out) == (4, "") and "overflows" in err
@@ -229,10 +228,17 @@ def test_bodies_far_from_unit_scale(capsys, tmp_path):
     # symmetry on a triangle with legs 1e100 used to end in an IndexError,
     # and at 1e-120 to exit 4 ("covariance not positive definite"), while
     # point --rule centroid or john printed [0.0, 0.0] for the centre near
-    # 3.3e-121
-    for scale in (1e100, 1e-120):
+    # 3.3e-121.  Legs 1e103 and 1e150 were refused (exit 4, "overflows"):
+    # the centroid's sums overflowed although the area and centroid fit
+    def body(scale):
         path = tmp_path / f"tri{scale:g}.json"
         path.write_text(json.dumps({"vertices": [[0, 0], [scale, 0], [0, scale]]}))
+        return path
+
+    code, out, _ = _run(capsys, ["point", body(1.0), "--rule", "tk"])
+    unit_tk = json.loads(out)["value"]
+    for scale in (1e100, 1e103, 1e150, 1e-120):
+        path = body(scale)
         code, out, err = _run(capsys, ["symmetry", path])
         assert code == 0 and json.loads(out)["kind"] == "dihedral(3)", scale
         for rule in ("centroid", "john"):
@@ -240,6 +246,11 @@ def test_bodies_far_from_unit_scale(capsys, tmp_path):
             assert code == 0 and len(err.splitlines()) == 1, (scale, rule)
             assert np.allclose(json.loads(out)["value"], scale / 3.0,
                                rtol=1e-9, atol=0), (scale, rule)
+        # tk normalises to unit area, so its value scales with the body
+        code, out, err = _run(capsys, ["point", path, "--rule", "tk"])
+        assert code == 0 and len(err.splitlines()) == 1, scale
+        assert np.allclose(json.loads(out)["value"], scale * np.array(unit_tk),
+                           rtol=1e-12, atol=0), scale
 
 
 ERROR_CLASSES = [cls for cls in vars(aipoints.errors).values()
