@@ -16,12 +16,12 @@ each centre takes a predictor step to the next mu along the path,
 theta += (mu' - mu) dtheta/dmu with H dtheta/dmu = -grad B at the last
 Hessian H, halved until it stays in the domain.  The final level is centred
 to a decrement below 1e-18 or to a round-off-sized step.  If it ends any
-other way (200 steps, or a line search that finds no ascent), or the global
-cap of 10^4 Newton steps is reached, the solver raises ConvergenceFailure.
+other way (200 steps, or a line search that finds no ascent), the solver
+raises ConvergenceFailure.
 
 The problem is affine invariant, so the solver runs on the body in its
 isotropic position (centroid at the origin, second moment the identity,
-see symmetry._second_moment): there the ellipse is round to within a
+see geometry.isotropic_position): there the ellipse is round to within a
 bounded factor and the Newton systems stay well conditioned for bodies of
 any aspect.  The ellipse is mapped back at the end.
 """
@@ -33,12 +33,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceFailure
-from .geometry import ConvexPolygon, binary_exponent
-from .symmetry import _second_moment, _sym_inv_sqrt
+from .geometry import ConvexPolygon, isotropic_position
 
 __all__ = ["john_center", "john_ellipse"]
 
-_MAX_ITER = 10_000
 _LEVEL_ITER = 200                                    # Newton steps per mu level
 _MU_LADDER = tuple(10.0 ** (-e) for e in range(10))  # 1 ... 1e-9
 _LOOSE_TOL = 1e-8                                    # decrement ending a level...
@@ -120,16 +118,11 @@ def _predict(theta, cones: _Cones, hess, dbar, mu: float, mu_next: float):
 
 def _follow_path(cones: _Cones, theta: np.ndarray) -> np.ndarray:
     """The end of the central path from theta: see the module docstring."""
-    iters = 0
     for mu, mu_next in zip(_MU_LADDER, _MU_LADDER[1:] + (None,)):
         tol = _FINAL_TOL if mu_next is None else _LOOSE_TOL
         settled = False
         base = _objective(theta, cones, mu)
         for _ in range(_LEVEL_ITER):
-            if iters >= _MAX_ITER:
-                raise ConvergenceFailure(
-                    f"inscribed-ellipse solver hit the {_MAX_ITER}-iteration cap")
-            iters += 1
             grad, hess, dbar = _grad_hess(theta, cones, mu)
             try:
                 step = np.linalg.solve(hess, -grad)
@@ -167,34 +160,29 @@ def _follow_path(cones: _Cones, theta: np.ndarray) -> np.ndarray:
 def john_ellipse(poly: ConvexPolygon) -> tuple[np.ndarray, np.ndarray]:
     """Center and SPD shape matrix of the maximum-area inscribed ellipse.
 
-    The solver runs on the body scaled by 2^-e (see geometry.binary_exponent),
-    so its second moment neither overflows nor underflows, and then put in
-    isotropic position.  The ellipse is mapped back, and scaled back by 2^e
-    exactly.
+    The solver runs on the body in isotropic position (see
+    geometry.isotropic_position).  The ellipse is mapped back, and scaled
+    back by 2^e exactly.
 
     Raises
     ------
     ConvergenceFailure
-        If the iteration cap is exhausted before the barrier ladder
-        finishes, or the ladder's final level ends short of its tolerance.
+        If the ladder's final level ends short of its tolerance.
     DegenerateBody
         If the body is a sliver whose second moment is not positive
         definite in floating point.
     """
-    e = binary_exponent(poly.vertices)
-    poly = ConvexPolygon(np.ldexp(poly.vertices, -e))
-    white = _sym_inv_sqrt(_second_moment(poly))
-    cones = _cones((poly.vertices - poly.centroid) @ white.T)
+    x, centroid, _, unwhite, e = isotropic_position(poly)
+    cones = _cones(x)
     r0 = 0.5 * float(cones.z0[:, 0].min())   # half the least slack at the centroid
     a, b, d, cx, cy = _follow_path(cones, np.array([r0, 0.0, r0, 0.0, 0.0]))
     # the ellipse is centroid + W^-1 (c + A u); its SPD shape is the square
     # root of S = W^-1 A^2 W^-1, (S + sqrt(det S) I) / sqrt(tr S + 2 sqrt(det S))
-    unwhite = np.linalg.inv(white)
     half = unwhite @ np.array([[a, b], [b, d]])
     square = half @ half.T
     root = np.linalg.det(unwhite) * (a * d - b * b)
     shape = (square + root * np.eye(2)) / np.sqrt(np.trace(square) + 2.0 * root)
-    return np.ldexp(poly.centroid + unwhite @ [cx, cy], e), np.ldexp(shape, e)
+    return np.ldexp(centroid + unwhite @ [cx, cy], e), np.ldexp(shape, e)
 
 
 def john_center(poly: ConvexPolygon) -> np.ndarray:

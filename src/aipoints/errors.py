@@ -30,7 +30,7 @@ class ConfigError(AipointsError):
 
 
 class ConvergenceFailure(AipointsError):
-    """Iterative solver hit its iteration cap before reaching tolerance."""
+    """Iterative solver stopped short of its tolerance."""
 
 
 class AnchorOutsideFixedSet(AipointsError):

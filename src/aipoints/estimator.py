@@ -67,7 +67,9 @@ __all__ = [
 
 DEFAULT_SAMPLES = 200_000
 DEFAULT_RADIUS = 16.0
-DEFAULT_K = 4           # integrability floor used as the default exponent
+# The default exponent.  The first moment's integrand decays like e^{(4-k)t}
+# in t = log lambda1, so k = 4 sits on its divergence boundary, not above it.
+DEFAULT_K = 4
 # Largest radius a run may reach (R * 2**r_doubling_rounds).  A decoded draw
 # has |det M| - 1 of about 0.5 R^2 eps, 1.1e-8 at 1e4: 100x inside the 1e-6
 # that VolumePreservingAffineMap accepts, so det M keeps the reflection's sign.

@@ -106,6 +106,49 @@ def binary_exponent(vertices: np.ndarray) -> int:
     return math.frexp(float(np.abs(vertices).max()))[1]
 
 
+def isotropic_position(poly: ConvexPolygon):
+    """The body in isotropic position, where every affine automorphism is
+    orthogonal: scaled by 2^-e (see binary_exponent), so its moments neither
+    overflow nor underflow, moved to centroid 0 and whitened to second
+    moment I.  Returns the whitened vertices x, the centroid c of the scaled
+    body, the whitening matrix w, its inverse and e, so that the vertices
+    are 2^e (c + w^-1 x).  Raises DegenerateBody when the second moment is
+    not positive definite in floating point."""
+    e = binary_exponent(poly.vertices)
+    scaled = ConvexPolygon(np.ldexp(poly.vertices, -e))
+    c = scaled.centroid
+    w = _sym_inv_sqrt(_second_moment(scaled))
+    return (scaled.vertices - c) @ w.T, c, w, np.linalg.inv(w), e
+
+
+def _second_moment(poly: ConvexPolygon) -> np.ndarray:
+    """Area-normalized covariance of the uniform measure on the polygon."""
+    c = poly.centroid
+    u = poly.vertices - c
+    w = np.roll(u, -1, axis=0)
+    cross = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
+    outer_u = np.einsum("ni,nj->nij", u, u)
+    outer_w = np.einsum("ni,nj->nij", w, w)
+    outer_uw = np.einsum("ni,nj->nij", u, w)
+    tri = (2.0 * outer_u + 2.0 * outer_w + outer_uw
+           + np.swapaxes(outer_uw, 1, 2)) / 24.0
+    second = np.einsum("n,nij->ij", cross, tri)
+    return second / poly.area
+
+
+def _sym_inv_sqrt(c: np.ndarray) -> np.ndarray:
+    """Inverse square root of a symmetric positive-definite 2x2 matrix."""
+    half = 0.5 * (c[0, 0] + c[1, 1])
+    rad = np.sqrt(max(0.25 * (c[0, 0] - c[1, 1]) ** 2 + c[0, 1] ** 2, 0.0))
+    mu1, mu2 = half + rad, half - rad
+    if mu2 <= 0:
+        raise DegenerateBody("covariance not positive definite")
+    psi = 0.5 * np.arctan2(2.0 * c[0, 1], c[0, 0] - c[1, 1])
+    cs, sn = np.cos(psi), np.sin(psi)
+    v = np.array([[cs, -sn], [sn, cs]])
+    return v @ np.diag([mu1 ** -0.5, mu2 ** -0.5]) @ v.T
+
+
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 

@@ -1,9 +1,10 @@
 """Affine automorphism groups of convex polygons and their fixed sets.
 
-Whitening (centroid + second-moment normalization) conjugates every affine
-automorphism to an orthogonal map of the whitened polygon, and an orthogonal
-symmetry must shift vertex indices cyclically (rotations) or reverse them
-(reflections), leaving at most 2V candidates to verify.
+Isotropic position (geometry.isotropic_position: centroid 0, second moment I)
+conjugates every affine automorphism to an orthogonal map of the whitened
+polygon, and an orthogonal symmetry must shift vertex indices cyclically
+(rotations) or reverse them (reflections), leaving at most 2V candidates to
+verify.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBody
-from .geometry import ConvexPolygon, binary_exponent
+from .geometry import ConvexPolygon, isotropic_position
 from .unimodular import VolumePreservingAffineMap
 
 __all__ = ["FixedSet", "SymmetryReport", "automorphism_group", "fixed_points",
@@ -38,51 +38,16 @@ class SymmetryReport:
     maps: tuple[VolumePreservingAffineMap, ...]
 
 
-def _second_moment(poly: ConvexPolygon) -> np.ndarray:
-    """Area-normalized covariance of the uniform measure on the polygon."""
-    c = poly.centroid
-    u = poly.vertices - c
-    w = np.roll(u, -1, axis=0)
-    cross = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
-    outer_u = np.einsum("ni,nj->nij", u, u)
-    outer_w = np.einsum("ni,nj->nij", w, w)
-    outer_uw = np.einsum("ni,nj->nij", u, w)
-    tri = (2.0 * outer_u + 2.0 * outer_w + outer_uw
-           + np.swapaxes(outer_uw, 1, 2)) / 24.0
-    second = np.einsum("n,nij->ij", cross, tri)
-    return second / poly.area
-
-
-def _sym_inv_sqrt(c: np.ndarray) -> np.ndarray:
-    """Inverse square root of a symmetric positive-definite 2x2 matrix."""
-    half = 0.5 * (c[0, 0] + c[1, 1])
-    rad = np.sqrt(max(0.25 * (c[0, 0] - c[1, 1]) ** 2 + c[0, 1] ** 2, 0.0))
-    mu1, mu2 = half + rad, half - rad
-    if mu2 <= 0:
-        raise DegenerateBody("covariance not positive definite")
-    psi = 0.5 * np.arctan2(2.0 * c[0, 1], c[0, 0] - c[1, 1])
-    cs, sn = np.cos(psi), np.sin(psi)
-    v = np.array([[cs, -sn], [sn, cs]])
-    return v @ np.diag([mu1 ** -0.5, mu2 ** -0.5]) @ v.T
-
-
 def automorphism_group(poly: ConvexPolygon) -> SymmetryReport:
     """Detect the affine automorphism group and its fixed set.
 
     Candidate orthogonal maps of the whitened polygon are verified vertexwise
     within 1e-8; the group is reported as trivial, cyclic(m) or dihedral(m)
     with the conjugated affine maps included.  The search runs on the body
-    scaled by 2^-e (see geometry.binary_exponent), so the moments neither
-    overflow nor underflow, and the fixed set and the maps' translations are
-    scaled back by 2^e, both exactly.
+    in isotropic position (see geometry.isotropic_position), and the fixed
+    set and the maps' translations are scaled back by 2^e, both exactly.
     """
-    e = binary_exponent(poly.vertices)
-    poly = ConvexPolygon(np.ldexp(poly.vertices, -e))
-    c = poly.centroid
-    cov = _second_moment(poly)
-    w = _sym_inv_sqrt(cov)
-    winv = np.linalg.inv(w)
-    x = (poly.vertices - c) @ w.T          # whitened vertices, covariance ~ I
+    x, c, w, winv, e = isotropic_position(poly)
     nv = x.shape[0]
     radii = np.linalg.norm(x, axis=1)
     angles = np.arctan2(x[:, 1], x[:, 0])

@@ -225,12 +225,6 @@ def test_grad_hess_matches_central_differences(rng):
                 assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
 
-def test_john_iteration_cap(triangle, monkeypatch):
-    monkeypatch.setattr(aipoints.classical, "_MAX_ITER", 3)
-    with pytest.raises(ConvergenceFailure, match="3-iteration cap"):
-        john_ellipse(triangle)
-
-
 def test_john_final_level_must_converge(monkeypatch):
     # a final level that runs out of steps used to return its last iterate
     # silently; one step per level leaves the final decrement far above 1e-18

@@ -16,7 +16,7 @@ from aipoints import (
     fixed_points,
     report_to_dict,
 )
-from aipoints.symmetry import _second_moment, _sym_inv_sqrt
+from aipoints.geometry import _second_moment, isotropic_position
 
 from oracles import hausdorff_distance
 
@@ -153,12 +153,23 @@ def test_affine_invariance_of_classification(unit_square, triangle, quad_unit,
                 assert np.linalg.norm(off) <= 1e-7 * scale
 
 
-def test_whitening_normalizes(unit_square, quad_unit, rng):
-    for poly in (unit_square, quad_unit, _trapezoid()):
-        w = _sym_inv_sqrt(_second_moment(poly))
-        white = canonicalize((poly.vertices - poly.centroid) @ w.T)
+def test_whitening_normalizes(unit_square, quad_unit):
+    # the whitened vertices have centroid 0 and second moment I at any scale.
+    # On a triangle of aspect 1e7 the covariance's small eigenvalue is the
+    # difference of two numbers of size |C|, so it keeps only about
+    # eps * 1e14 = 2e-2 relative accuracy: its second moment is held to 5e-2
+    thin = canonicalize([[0.0, 0.0], [1.0, 0.0], [0.0, 1e-7]])
+    cases = [(scale * poly.vertices, 1e-9) for scale in (1.0, 1e-120, 1e150)
+             for poly in (unit_square, quad_unit, _trapezoid())]
+    for verts, tol in cases + [(thin.vertices, 5e-2)]:
+        poly = canonicalize(verts)
+        x, c, _, winv, e = isotropic_position(poly)
+        assert np.all(np.isfinite(x))
+        back = np.ldexp(c + x @ winv.T, e)
+        assert np.abs(back - poly.vertices).max() <= 1e-12 * np.abs(verts).max()
+        white = canonicalize(x)
         assert np.linalg.norm(white.centroid) <= 1e-9
-        assert np.max(np.abs(_second_moment(white) - np.eye(2))) <= 1e-9
+        assert np.max(np.abs(_second_moment(white) - np.eye(2))) <= tol
 
 
 def test_near_symmetry_sharp_cutoff():
