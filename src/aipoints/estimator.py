@@ -15,7 +15,7 @@ it (about 95% at R = 16) are dropped before M is decoded or x formed.  Most
 of them (about 87% of all draws at R = 16) fall outside a wedge about u1
 that holds the rectangle and are dropped before any cos/sin.  The kernel
 would clip the dropped draws to exactly 0.0 (see _reaches_l), so the kept
-rows give the same bytes as evaluating every draw.  phi(v) = M v + x is linear
+draws give the same bytes as evaluating every draw.  phi(v) = M v + x is linear
 in z = (M, x, 1), so the sampling loop sums moments of z over the hits, and
 the ratio, its delta-method standard errors and the ESS are read out of them
 once per run for the anchor.  One R-doubling rerun with fresh samples
@@ -30,13 +30,13 @@ estimate_tk run with its k at the same seed.  That memo holds one block of
 
 Sampling is split over a fixed number of seeded substreams combined in stream
 order, so results are bitwise the same for a fixed seed at any thread count.
-A round draws at most _BATCH rows: a longer substream draws in pieces, and
-consecutive pieces share a round while they fit.  The kept draws of
-successive rounds are pooled and evaluated as one batch once the next round
-would take the pool past _POOL rows, so a default estimate makes about five
-kernel calls.  Each thread takes one contiguous run of substreams, one run
-per thread up to one per _BATCH samples, so a run of at most _BATCH samples
-uses one thread.
+A substream draws in pieces of at most _BATCH, one (6, n) block each (see
+haar), and a round sets consecutive pieces' blocks side by side up to _BATCH
+columns.  The kept columns of successive rounds are pooled, then decoded and
+evaluated as one batch once the next round would take the pool past _POOL
+columns, so a default estimate makes about five kernel calls.  Each thread
+takes one contiguous run of substreams, one run per thread up to one per
+_BATCH samples, so a run of at most _BATCH samples uses one thread.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import AnchorOutsideFixedSet, ConfigError, DegenerateWeights
 from .geometry import SEP_GAP, ConvexPolygon, normalize_to_unit_area
-from .haar import _decode_cartan, _sample_cartan, _sample_disk, truncated_mass
+from .haar import _decode_cartan, _sample_cartan, truncated_mass
 from .symmetry import automorphism_group, fixed_points
 from .weightfn import WeightContext, evaluate_weights_batch, weight_context
 
@@ -76,7 +76,7 @@ DEFAULT_K = 4
 MAX_RADIUS = 1e4
 STREAM_COUNT = 16       # fixed substream split; threads take contiguous runs
 _BATCH = 16_384         # most draws in one round
-_POOL = 4_096           # kept rows pooled before a batch is evaluated
+_POOL = 4_096           # kept draws pooled before a batch is evaluated
 _MIN_SUPPORT_HITS = 100
 
 SWEEP_CSV_HEADER = ("k", "value_x", "value_y", "se_x", "se_y", "err_to_v")
@@ -160,36 +160,35 @@ def _stream_partial(ctx: WeightContext, ks: tuple[int, ...], radius: float,
     M21, M22, x1, x2, 1); phi(v) = M v + x is linear in z, so a row serves
     every anchor.  Only hits (F > 0) are summed: a miss has a = 0, and most
     draws miss.  Each substream draws from its own generator in pieces of at
-    most _BATCH rows (Cartan coordinates, then the disk in polar form), and
-    consecutive pieces share a round of at most _BATCH draws.  Each round
-    keeps only the draws that _reaches_l flags; the rest would clip to
-    exactly 0.0.  The kept draws of successive rounds are pooled, and a pool
-    is decoded and evaluated as one batch once the next round would take it
-    past _POOL rows.  Each row is summed over its own (substream, piece)
-    slices in draw order, so the rows do not depend on the rounds or the
-    pools.  The draws and the clip do not depend on k, so every k reads the
-    same hits, and each block has the bytes of a call with that k alone.
+    most _BATCH, one (6, n) block per piece (see haar), and a round sets
+    consecutive pieces' blocks side by side, at most _BATCH columns.  A round
+    keeps only the columns that _reaches_l flags; the rest would clip to
+    exactly 0.0.  The kept columns of successive rounds are pooled, and the
+    pool is joined, decoded and evaluated once the next round would take it
+    past _POOL columns.  Each row of sums adds its own (substream, piece)
+    slices in draw order, so it does not depend on the rounds or the pools.
+    The draws and the clip do not depend on k, so every k reads the same
+    hits, and each 57-column block has the bytes of a call with that k alone.
     """
     rngs = [np.random.default_rng(seq) for seq in seed_seqs]
     mass = truncated_mass(radius)
     reach = ctx.R_K + ctx.R_L
     sums = np.zeros((len(counts), 57 * len(ks)))
-    # one entry per round: its substreams, the kept rows of each of its
-    # pieces, then the kept draws (th1, t, th2, refl, r, ang, rho)
+    # one entry per round: its substreams, the kept count of each of its
+    # pieces, then its block's kept columns and their rho
     pool, pooled = [], 0
     for pieces in _rounds(counts):
-        draws = [(*_sample_cartan(radius, rngs[i], m), *_sample_disk(rngs[i], m))
-                 for i, m in pieces]
-        th1, t, th2, refl, r, ang = (_joined(parts) for parts in zip(*draws))
+        block = _joined([_sample_cartan(radius, rngs[i], m) for i, m in pieces])
+        th1, t, _, _, r, ang = block
         et = np.exp(t)
         rho = et * reach            # translation_support_radius(ctx, M)
         kept = np.flatnonzero(_reaches_l(ctx, th1, et, rho * r, ang))
         if pool and pooled + len(kept) > _POOL:
             _add_moments(sums, ctx, ks, mass, pool)
             pool, pooled = [], 0
-        ends = np.searchsorted(kept, np.cumsum([m for _, m in pieces]))
-        pool.append(([i for i, _ in pieces], np.diff(ends, prepend=0),
-                     *(part[kept] for part in (th1, t, th2, refl, r, ang, rho))))
+        streams, drawn = np.array(pieces).T
+        sizes = np.diff(np.searchsorted(kept, np.cumsum(drawn)), prepend=0)
+        pool.append((streams, sizes, block.take(kept, axis=1), rho[kept]))
         pooled += len(kept)
     _add_moments(sums, ctx, ks, mass, pool)
     return sums
@@ -215,11 +214,9 @@ def _add_moments(sums: np.ndarray, ctx: WeightContext, ks: tuple[int, ...],
                  mass: float, pool: list) -> None:
     """Decode and evaluate a pool of kept draws as one batch and add each
     (substream, piece) slice of its hits to that substream's row of sums."""
-    streams = [i for part in pool for i in part[0]]
-    sizes = np.concatenate([part[1] for part in pool])
-    th1, t, th2, refl, r, ang, rho = (_joined(parts) for parts in
-                                      zip(*(part[2:] for part in pool)))
-    mats = _decode_cartan(th1, t, th2, refl)
+    streams, sizes, block, rho = (_joined(parts) for parts in zip(*pool))
+    mats = _decode_cartan(*block[:4])
+    r, ang = block[4:]
     xs = rho[:, None] * np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
     f = evaluate_weights_batch(ctx, mats, xs)
     hit = np.flatnonzero(f)
@@ -270,9 +267,9 @@ def _reaches_l(ctx: WeightContext, theta1: np.ndarray, et: np.ndarray,
     return keep
 
 
-def _joined(parts: tuple[np.ndarray, ...]) -> np.ndarray:
-    """The pieces end to end; a lone piece is returned as it is, uncopied."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _joined(parts) -> np.ndarray:
+    """The pieces end to end on their last axis; a lone one is not copied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
 def _moment_totals(ctx: WeightContext, ks: tuple[int, ...], samples: int,

@@ -6,6 +6,16 @@ The radial Haar density is sinh(2t); both angles are uniform and the
 reflection is a fair coin.  Truncation to S_R restricts t to [0, log R] and
 the total mass of S_R is fixed to the sinh integral, so the proposal equals
 the truncated target and the base importance weight is that constant mass.
+
+A draw is one column of a (6, n) block of uniforms U from one
+rng.random((6, n)) call, each row transformed in place: theta1 = 2 pi U_0,
+t = arccosh(1 + U_1 (cosh(2 log R) - 1)) / 2 (the inverse CDF), theta2 =
+2 pi U_2, reflect = 1.0 if U_3 < 1/2 else 0.0, and the translation's polar
+coordinates in the unit disk, r = sqrt(U_4) and angle 2 pi U_5.  That
+layout is the determinism contract, and a new proposal changes it here
+only: randomized QMC replaces the rng call, a radial law matched to the
+weight or an annulus for the R-doubling replaces row 1, and a translation
+drawn from the weight itself replaces rows 4-5.
 """
 
 from __future__ import annotations
@@ -27,20 +37,25 @@ def truncated_mass(radius: float) -> float:
     return float(0.5 * (np.cosh(2.0 * np.log(radius)) - 1.0))
 
 
-def _sample_cartan(radius: float, rng: np.random.Generator, n: int):
-    """Vectorized Cartan draws: (theta1, t, theta2, reflect) arrays.
+def _sample_cartan(radius: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n draws from S_R x the unit disk: the (6, n) block of the contract."""
+    return _transformed(rng.random((6, n)), radius)
 
-    Inverse-CDF in t; the rng call order (theta1, t, theta2, reflect) is part
-    of the determinism contract.
-    """
+
+def _transformed(block: np.ndarray, radius: float) -> np.ndarray:
+    """The contract's transforms on the rows of a block of uniforms, in
+    place; a (4, n) block stops after the reflection."""
     if radius <= 1.0:
         raise InvalidRadius(f"sampling needs truncation radius > 1, got {radius}")
     span = np.cosh(2.0 * np.log(radius)) - 1.0
-    theta1 = rng.random(n) * (2.0 * np.pi)
-    t = 0.5 * np.arccosh(1.0 + rng.random(n) * span)
-    theta2 = rng.random(n) * (2.0 * np.pi)
-    reflect = rng.random(n) < 0.5
-    return theta1, t, theta2, reflect
+    block[0] *= 2.0 * np.pi
+    block[1] = 0.5 * np.arccosh(1.0 + block[1] * span)
+    block[2] *= 2.0 * np.pi
+    block[3] = block[3] < 0.5
+    if len(block) > 4:
+        block[4] = np.sqrt(block[4])
+        block[5] *= 2.0 * np.pi
+    return block
 
 
 def _decode_cartan(theta1, t, theta2, reflect):
@@ -67,16 +82,4 @@ def sample_sl2pm(radius: float, rng: np.random.Generator) -> np.ndarray:
     The proposal equals the truncated target, so every draw carries the
     same base weight, truncated_mass(radius).
     """
-    return _decode_cartan(*_sample_cartan(radius, rng, 1))[0]
-
-
-def _sample_disk(rng: np.random.Generator,
-                 n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform draws from the unit disk in polar form: (r, angle) arrays,
-    the point being (r cos(angle), r sin(angle)).  Call order (radius,
-    angle) is fixed.  Polar draws let the estimator test a draw against the
-    weight's support with at most one cos/sin pair and form x only for the
-    draws that pass."""
-    r = np.sqrt(rng.random(n))
-    ang = rng.random(n) * (2.0 * np.pi)
-    return r, ang
+    return _decode_cartan(*_transformed(rng.random((4, 1)), radius))[0]

@@ -43,7 +43,7 @@ from aipoints.estimator import _BATCH, _MIN_SUPPORT_HITS, STREAM_COUNT
 from aipoints.classical import _MU_LADDER, _cones, _objective
 from aipoints.geometry import (AREA_CLAMP, EDGE_EPS, SEP_GAP, batch_intersection_area,
                                binary_exponent)
-from aipoints.haar import _decode_cartan, _sample_cartan, _sample_disk, truncated_mass
+from aipoints.haar import _decode_cartan, _sample_cartan, truncated_mass
 
 
 class QuadratureFailure(AipointsError):
@@ -343,8 +343,7 @@ def invariance_check(g, h, support_radius: float, samples: int,
     mass = truncated_mass(truncation_radius)
 
     def side(transform) -> tuple[float, float]:
-        th1, t, th2, refl = _sample_cartan(truncation_radius, rng, samples)
-        m = _decode_cartan(th1, t, th2, refl)
+        m = _decode_cartan(*_sample_cartan(truncation_radius, rng, samples)[:4])
         vals = np.asarray(h(transform(m)), float)
         return mass * float(vals.mean()), mass * float(vals.std(ddof=1) / np.sqrt(samples))
 
@@ -555,10 +554,9 @@ def _one_stream_partial(ctx, anchor: np.ndarray, k: int, radius: float,
     with np.errstate(over="ignore", invalid="ignore"):
         while done < count:
             m = min(_BATCH, count - done)
-            th1, t, th2, refl = _sample_cartan(radius, rng, m)
+            th1, t, th2, refl, r, ang = _sample_cartan(radius, rng, m)
             mats = _decode_cartan(th1, t, th2, refl)
             rho = np.exp(t) * reach     # translation_support_radius(ctx, M)
-            r, ang = _sample_disk(rng, m)
             xs = rho[:, None] * np.stack([r * np.cos(ang), r * np.sin(ang)],
                                          axis=-1)
             w = mass * np.pi * rho * rho

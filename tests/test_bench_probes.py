@@ -21,6 +21,10 @@ import aipoints.cli
 import aipoints.estimator
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+# Names the bench still lists whose work moved into another traced name of
+# the same layer: the translation draw is now rows 4-5 of _sample_cartan's
+# block.  A traced run lists them as absent until the bench drops them.
+RETIRED = {"aipoints.estimator._sample_disk"}
 
 
 def _load(name):
@@ -37,10 +41,12 @@ def test_every_bench_probe_resolves():
     assert set(tracing.PROBES) <= set(tracing.LAYER_TARGETS)
     names = [(module, attribute) for module, attribute, *_ in
              tracing.LAYER_TARGETS + tracing.COUNTERS]
-    absent = [f"{module}.{attribute}" for module, attribute in names
-              if tracing._resolve(module, attribute) is None]
-    assert absent == []
+    absent = {f"{module}.{attribute}" for module, attribute in names
+              if tracing._resolve(module, attribute) is None}
+    assert absent <= RETIRED
     for module, attribute in names:
+        if f"{module}.{attribute}" in absent:
+            continue
         owner, leaf = tracing._resolve(module, attribute)
         assert callable(getattr(owner, leaf)), f"{module}.{attribute}"
 
@@ -130,3 +136,36 @@ def test_sweep_probes_see_every_row():
     assert all(info["samples"] == cfg.samples for info in runs)
     assert all(0 < info["hits"] <= cfg.samples for info in runs)
     assert not tracer.info_errors
+
+
+def test_draw_probe_counts_every_sample():
+    # bench/worker.py sums the n that _draw_info reads from each
+    # _sample_cartan call into haar.draws: one call per (substream, piece)
+    # must add up to each _run_once's samples, or the layer reads 0
+    tracing, workloads = _load("tracing"), _load("workloads")
+    q0, _ = aipoints.normalize_to_unit_area(
+        aipoints.canonicalize(workloads.Q0_VERTICES))
+    draw = "aipoints.estimator._sample_cartan"
+    for cfg in (aipoints.estimator.EstimatorConfig(),
+                aipoints.estimator.EstimatorConfig(
+                    samples=workloads.AUDIT_SAMPLES, R=workloads.AUDIT_RADIUS)):
+        tracer = tracing.Tracer()
+        with tracing.Patched(tracer, tracing.LAYER_TARGETS) as patched:
+            aipoints.estimator.estimate_tk_unit(q0, q0.centroid, q0, cfg)
+        assert set(patched.absent) <= RETIRED
+        assert not tracer.info_errors
+        spans = {span[tracing.ID]: span for span in tracer.spans}
+        drawn = {}  # the run each draw sits under, with its sizes
+        for span in spans.values():
+            if span[tracing.NAME] != draw:
+                continue
+            run = span
+            while run[tracing.NAME] != "aipoints.estimator._run_once":
+                run = spans[run[tracing.PARENT]]
+            drawn.setdefault(run[tracing.ID], []).append(span[tracing.INFO]["n"])
+        runs = [span for span in spans.values()
+                if span[tracing.NAME] == "aipoints.estimator._run_once"]
+        assert len(runs) == 1 + cfg.r_doubling_rounds
+        for run in runs:
+            assert run[tracing.INFO]["samples"] == cfg.samples
+            assert sum(drawn[run[tracing.ID]]) == cfg.samples

@@ -13,10 +13,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import aipoints.cli
 import aipoints.estimator
 from aipoints.estimator import MAX_RADIUS
 from aipoints.geometry import SEP_GAP
-from aipoints.haar import _decode_cartan, _sample_cartan, _sample_disk
+from aipoints.haar import _decode_cartan, _sample_cartan
 from aipoints import (
     AnchorOutsideFixedSet,
     ConfigError,
@@ -113,7 +114,7 @@ def test_config_validation(q0u, monkeypatch):
     # run may reach, |det M| stays within 1e-7 of 1 and det M < 0 exactly on
     # the reflected draws (at R = 1e8 some 1e-5 of the signs disagree)
     th1, t, th2, refl = _sample_cartan(MAX_RADIUS, np.random.default_rng(5),
-                                       200_000)
+                                       200_000)[:4]
     m = _decode_cartan(th1, t, th2, refl)
     det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
     assert np.exp(t).max() > 0.5 * MAX_RADIUS
@@ -256,29 +257,23 @@ def test_covering_disk_holds_the_weight_support(q0u, monkeypatch):
     # disk, for stretched and reflected M alike; the bodies sit far from the
     # origin, so the spy must see them centred for the disk to hold.  Only
     # the draws that can reach L get to evaluate_weights_batch, so the fill
-    # of the disk and the probes outside it read every draw from spies on
-    # the samplers
+    # of the disk and the probes outside it read every draw from a spy on
+    # the sampler
     K = canonicalize(q0u.vertices + [40.0, -25.0])
     tri = normalize_to_unit_area(canonicalize([[0, 0], [1, 0], [0, 1]]))[0]
     L = canonicalize(tri.vertices + [-30.0, 55.0])
-    seen, cartan, polar = [], [], []
+    seen, blocks = [], []
 
     def spy(ctx, mats, xs):
         seen.append((ctx, mats.copy(), xs.copy()))
         return evaluate_weights_batch(ctx, mats, xs)
 
-    def recorder(sampler, store):
-        def wrapped(*args):
-            draw = sampler(*args)
-            store.append(draw)
-            return draw
-        return wrapped
+    def recorder(*args):
+        blocks.append(_sample_cartan(*args))
+        return blocks[-1]
 
     monkeypatch.setattr(aipoints.estimator, "evaluate_weights_batch", spy)
-    monkeypatch.setattr(aipoints.estimator, "_sample_cartan",
-                        recorder(_sample_cartan, cartan))
-    monkeypatch.setattr(aipoints.estimator, "_sample_disk",
-                        recorder(aipoints.haar._sample_disk, polar))
+    monkeypatch.setattr(aipoints.estimator, "_sample_cartan", recorder)
     cfg = EstimatorConfig(k=2, samples=20_000, R=8.0, seed=4,
                           r_doubling_rounds=0)
     estimate_tk_unit(K, K.centroid, L, cfg)
@@ -297,11 +292,12 @@ def test_covering_disk_holds_the_weight_support(q0u, monkeypatch):
     frac = np.linalg.norm(xs, axis=1) / rho
     assert frac.max() <= 1.0 + 1e-9
     # the draws fill exactly that disk: P(|x| > 0.9 rho) = 1 - 0.81
-    radii = np.concatenate([r for r, _ in polar])
+    draws = np.concatenate(blocks, axis=1)
+    radii = draws[4]
     assert len(radii) == cfg.samples and radii.max() <= 1.0
     assert abs(np.mean(radii > 0.9) - 0.19) < 0.015
     # and no weight lies outside it, for the maps of every draw
-    every = _decode_cartan(*(np.concatenate(parts) for parts in zip(*cartan)))
+    every = _decode_cartan(*draws[:4])
     assert len(every) == cfg.samples
     rng = np.random.default_rng(8)
     ang = rng.uniform(0.0, 2 * np.pi, len(every))
@@ -417,10 +413,10 @@ def test_weight_vanishes_outside_the_rectangle(q0u):
     n = 20_000
     for ctx in (weight_context(q0, q0), weight_context(q0, tri),
                 weight_context(tri, q0)):
-        th1, t, th2, refl = _sample_cartan(32.0, rng, n)
+        th1, t, th2, refl = _sample_cartan(32.0, rng, n)[:4]
         mats = _decode_cartan(th1, t, th2, refl)
         et = np.exp(t)
-        assert refl.any() and (~refl).any() and et.max() > 30.0
+        assert refl.any() and (refl == 0).any() and et.max() > 30.0
         u1 = np.stack([np.cos(th1), np.sin(th1)], axis=1)
         u2 = np.stack([-np.sin(th1), np.cos(th1)], axis=1)
         half = np.stack([ctx.R_L + et * ctx.R_K, ctx.R_L + ctx.R_K / et], axis=1)
@@ -456,8 +452,7 @@ def test_wedge_keeps_the_rectangle_mask(q0u):
     for K, L in ((q0, q0), (tri, q0), (q0, tri), (gon, gon)):
         ctx = weight_context(K, L)
         for radius in (2.0, 16.0, 32.0, 1e3, 1e4):
-            th1, t, _, _ = _sample_cartan(radius, rng, n)
-            r, ang = _sample_disk(rng, n)
+            th1, t, _, _, r, ang = _sample_cartan(radius, rng, n)
             et = np.exp(t)
             radial = et * (ctx.R_K + ctx.R_L) * r
             e = et[m:]
@@ -601,6 +596,51 @@ def test_seed_reproducibility(q0u):
     c = estimate_tk_unit(q0u, Q0_ANCHOR, q0u,
                          EstimatorConfig(k=4, samples=20_000, R=4.0, seed=14))
     assert not np.array_equal(a.value, c.value)
+
+
+def test_frozen_seed_values(q0u):
+    # values recorded when each draw was six rng.random(n) calls in a fixed
+    # order: any reordering of the uniforms moves them far past rel 1e-12,
+    # libm ulps do not.  Each estimate is (value, std_error, ess, r_stability)
+    def pinned(est, want):
+        got = [*est.value, *est.std_error, est.ess, est.r_stability]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    pinned(estimate_tk(q0u, Q0_ANCHOR, q0u, EstimatorConfig()),
+           [0.5796117491520019, 0.48432027245844694, 0.016071773526002475,
+            0.014132960743510758, 535.7876051387251, 0.010408794486644517])
+    # two pieces per substream, drawn on three threads
+    pinned(estimate_tk(q0u, Q0_ANCHOR, q0u,
+                       EstimatorConfig(k=2, R=2.0, samples=300_000), threads=3),
+           [0.5943572685837446, 0.4824788430778804, 0.001852917651128324,
+            0.0017529877164721023, 24334.663293178342, 0.0035880676914867124])
+    rows = convergence_sweep(q0u, Q0_ANCHOR, [2, 8, 16], EstimatorConfig(R=2.0),
+                             check_anchor=False)
+    sweep = {
+        2: (0.05354410934563259,
+            [0.5942526378373096, 0.48014424804265277, 0.002274456721776783,
+             0.002136416878579283, 16213.19432552479, 0.0076457012719078265]),
+        8: (0.05267519429062149,
+            [0.5920564653967652, 0.481716396577881, 0.00237339269058232,
+             0.0021211397028255085, 3205.8951629205935, 0.0016559915298048687]),
+        16: (0.052292902173037566,
+             [0.5899279015621726, 0.48376848078490264, 0.003584489004288307,
+              0.0030885588453891995, 442.1044056942286, 0.014314784091630966]),
+    }
+    assert [row.k for row in rows] == list(sweep)
+    for row in rows:
+        err, want = sweep[row.k]
+        assert row.err_to_v == pytest.approx(err, rel=1e-12, abs=0.0)
+        pinned(row.estimate, want)
+    # the audit maps: four uniforms per linear part, then the shift
+    maps = aipoints.cli._audit_maps(2, 0)
+    got = [[*m.linear.ravel(), *m.translation] for m in maps]
+    want = [[-0.7903345907223571, -0.7440893239340592, -1.1860093230638697,
+             0.14867516366013708, 0.6265404784005448, 0.8255111545554434],
+            [1.2874941034339658, -0.7148761386295707, 1.2089504689042787,
+             0.10543749803065644, 0.6317071082430643, -0.9945229996597038]]
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-12, abs=0.0)
 
 
 def test_r_doubling_stability(origin_square):

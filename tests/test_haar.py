@@ -11,7 +11,7 @@ from aipoints import (
     singular_values,
     truncated_mass,
 )
-from aipoints.haar import _decode_cartan, _sample_cartan, _sample_disk
+from aipoints.haar import _decode_cartan, _sample_cartan
 
 from oracles import (TruncationTooSmall, invariance_check, rotation,
                      smoothed_ball_indicator, stretch, truncated_cdf)
@@ -53,14 +53,14 @@ def test_exponential_norm_tail_integral():
 def test_radial_marginal_ks():
     rng = np.random.default_rng(31)
     radius = 6.0
-    _, t, _, _ = _sample_cartan(radius, rng, 100_000)
+    t = _sample_cartan(radius, rng, 100_000)[1]
     stat = kstest(t, lambda x: truncated_cdf(x, radius))
     assert stat.pvalue > 0.01
 
 
 def test_angles_uniform_and_reflection_fair():
     rng = np.random.default_rng(32)
-    th1, _, th2, refl = _sample_cartan(3.0, rng, 100_000)
+    th1, _, th2, refl = _sample_cartan(3.0, rng, 100_000)[:4]
     assert kstest(th1 / (2 * np.pi), "uniform").pvalue > 0.01
     assert kstest(th2 / (2 * np.pi), "uniform").pvalue > 0.01
     assert abs(refl.mean() - 0.5) < 0.01
@@ -69,7 +69,7 @@ def test_angles_uniform_and_reflection_fair():
 def test_decoded_samples_live_in_the_ball():
     rng = np.random.default_rng(33)
     radius = 5.0
-    th1, t, th2, refl = _sample_cartan(radius, rng, 5_000)
+    th1, t, th2, refl = _sample_cartan(radius, rng, 5_000)[:4]
     m = _decode_cartan(th1, t, th2, refl)
     dets = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
     assert np.allclose(np.abs(dets), 1.0, atol=1e-12)
@@ -96,8 +96,7 @@ def test_sample_sl2pm_single_draw_contract():
 def test_seed_reproducibility():
     a = _sample_cartan(4.0, np.random.default_rng(77), 1000)
     b = _sample_cartan(4.0, np.random.default_rng(77), 1000)
-    for xa, xb in zip(a, b):
-        assert np.array_equal(xa, xb)
+    assert np.array_equal(a, b)
 
 
 def test_norm_tail_fractions():
@@ -105,7 +104,7 @@ def test_norm_tail_fractions():
     # a few million draws before its noise sits inside the 2% tolerance
     rng = np.random.default_rng(35)
     radius = np.exp(2.5)
-    _, t, _, _ = _sample_cartan(radius, rng, 4_000_000)
+    t = _sample_cartan(radius, rng, 4_000_000)[1]
     total = truncated_mass(radius)
     for tau in (0.5, 1.0, 2.0):
         head = (np.cosh(2 * tau) - 1.0) / 2.0
@@ -114,19 +113,29 @@ def test_norm_tail_fractions():
         assert abs(got - expect) < 0.02 * expect
 
 
-def test_translation_sampler():
-    # the estimator draws x = rho * r (cos a, sin a) from (r, a) =
-    # _sample_disk(...).  Uniform on the unit disk means r = sqrt(U1),
-    # a = 2 pi U2 with U1 drawn first; the draws must be exactly that, so the
-    # rng order is pinned as well
-    n = 20_000
-    r, a = _sample_disk(np.random.default_rng(36), n)
-    rng = np.random.default_rng(36)
-    assert np.array_equal(r, np.sqrt(rng.random(n)))
-    assert np.array_equal(a, rng.random(n) * (2 * np.pi))
+def test_draw_block_rng_contract():
+    # a draw is one column of the six transformed rows of one
+    # rng.random((6, n)) call; every seeded result rests on that layout
+    n, radius = 20_000, 5.0
+    block = _sample_cartan(radius, np.random.default_rng(36), n)
+    u = np.random.default_rng(36).random((6, n))
+    span = np.cosh(2.0 * np.log(radius)) - 1.0
+    want = np.stack([u[0] * (2 * np.pi), 0.5 * np.arccosh(1.0 + u[1] * span),
+                     u[2] * (2 * np.pi), np.where(u[3] < 0.5, 1.0, 0.0),
+                     np.sqrt(u[4]), u[5] * (2 * np.pi)])
+    assert np.array_equal(block, want)
+    # x = rho r (cos a, sin a) is uniform on the disk of radius rho: a quarter
+    # of the draws fall inside radius 1/2
+    r = block[4]
     assert np.all(r <= 1.0)
-    # a quarter of the draws fall inside radius 1/2
     assert abs(np.mean(r <= 0.5) - 0.25) < 4 * np.sqrt(0.25 * 0.75 / n)
+    # sample_sl2pm transforms a (4, 1) block: the first four rows of a
+    # one-draw block, from exactly four uniforms, so the generator's next
+    # draw is a fresh generator's fifth
+    rng = np.random.default_rng(36)
+    one = _sample_cartan(radius, np.random.default_rng(36), 1)
+    assert np.array_equal(sample_sl2pm(radius, rng), _decode_cartan(*one[:4])[0])
+    assert rng.random() == np.random.default_rng(36).random(5)[4]
 
 
 def test_translation_correlation_integral_vs_quadrature():

@@ -6,8 +6,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "aipoints"
 
 # bench/tracing.py wraps these haar samplers on the estimator module by name
-ALLOWED = {("estimator", "_decode_cartan"), ("estimator", "_sample_cartan"),
-           ("estimator", "_sample_disk")}
+ALLOWED = {("estimator", "_decode_cartan"), ("estimator", "_sample_cartan")}
 
 
 def test_no_private_imports_between_modules():
